@@ -8,8 +8,6 @@ oracle that validates every closed form.
 """
 
 from .benchmarks import (
-    BenchmarkCurvePoint,
-    CurveLabel,
     crossover_sql_dss_vs_hb_cs,
     hb_dss_opt,
     helstrom_cs,
@@ -70,7 +68,6 @@ from .receiver_imperfect import (
     DetectorModel,
     detected_count_pmf,
     exact_saturation_floor,
-    map_error_imperfect,
     optimal_threshold,
     p_err_imperfect,
     saturation_floor,

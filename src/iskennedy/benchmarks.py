@@ -8,33 +8,12 @@ Equal priors (1/2, 1/2) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from scipy.special import erfc
 
 from .errors import BracketError
 from .gaussian_states import design_at_optimal_beta
-
-
-class CurveLabel(Enum):
-    HB_DSS = "HB_DSS"
-    SQL_DSS = "SQL_DSS"
-    HB_CS = "HB_CS"
-    SQL_CS = "SQL_CS"
-    K_IDEAL = "K_IDEAL"
-
-
-@dataclass(frozen=True)
-class BenchmarkCurvePoint:
-    N: float
-    value: float
-    label: CurveLabel
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 0.5:
-            raise ValueError(f"error probability out of [0, 0.5]: {self.value}")
 
 
 def _helstrom_from_overlap_exponent(x: float) -> float:

@@ -31,6 +31,13 @@ _MASS_SLACK = 1e-9
 # Magnitude at which the Hermite recurrence is rescaled to avoid overflow.
 _RESCALE_AT = 1e150
 
+# Squeezing below this is numerically indistinguishable from none; the
+# coherent-state (Poisson) statistics take over.
+_POISSON_CUTOFF_R = 1e-8
+
+# Terms the direct squeezed-vacuum tail sum may take before it gives up.
+_SV_TAIL_TERMS = 100_000
+
 
 def poisson_pmf(n: int, mu: float) -> float:
     """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20)."""
@@ -97,19 +104,27 @@ def sv_pmf(n: int, r: float) -> float:
 def sv_tail_ge(n_min: int, r: float) -> float:
     """Sum of the squeezed-vacuum pmf over all n >= n_min.
 
-    Terms decay geometrically like tanh^2(r), so the direct sum converges
-    quickly; it stops once the running term falls below 1e-30 of the total.
+    Summed from the side that needs no cancellation: as the complement of
+    the head sum_{n < n_min} when the head holds at most half the mass,
+    otherwise directly.  The direct terms decay like tanh^2(r) and the sum
+    stops once a term falls to 1e-30 of the total; reaching _SV_TAIL_TERMS
+    terms first raises NumericalConsistencyError.
     """
     if n_min <= 0:
         return 1.0
+    head = sum(sv_pmf(n, r) for n in range(0, n_min, 2))
+    if head <= 0.5:
+        return 1.0 - head
     k0 = (n_min + 1) // 2
     total = 0.0
-    for k in range(k0, k0 + 100000):
+    for k in range(k0, k0 + _SV_TAIL_TERMS):
         term = sv_pmf(2 * k, r)
         total += term
-        if term < 1e-30 * max(total, 1e-300):
-            break
-    return total
+        if term <= 1e-30 * total:
+            return total
+    raise NumericalConsistencyError(
+        f"squeezed-vacuum tail from n = {n_min} at r = {r} did not converge "
+        f"in {_SV_TAIL_TERMS} terms")
 
 
 def hermite_complex(n: int, z: complex) -> complex:
@@ -141,8 +156,8 @@ def _hermite_abs2_log(n: int, z: complex) -> float:
 def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     """Photon pmf of a displaced squeezed state with complex displacement.
 
-    Valid only for r > 0; the r -> 0 limit is a coherent state and callers
-    must switch to poisson_pmf(n, |alpha_c|^2) below r = 1e-8.
+    Valid only for r > 0; the r -> 0 limit is a coherent state, which
+    photon_pmf switches to below r = 1e-8.
     """
     if r <= 0:
         raise DegenerateSqueezingError(
@@ -168,13 +183,27 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     return math.exp(log_p) if log_p < 0 else float(np.exp(log_p))
 
 
+def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], float]:
+    """Photon pmf n -> P(n) of S(r e^{j theta}) D(A)|0>.
+
+    The one place that picks the law: Poisson of mean |A|^2 below
+    r = 1e-8, the squeezed vacuum at A = 0, the displaced-squeezed law
+    otherwise.
+    """
+    if r < _POISSON_CUTOFF_R:
+        mu = abs(A) ** 2
+        return lambda n: poisson_pmf(n, mu)
+    if A == 0:
+        return lambda n: sv_pmf(n, r)
+    return lambda n: dss_pmf(n, A, r, theta)
+
+
 @dataclass(frozen=True)
 class CountDistribution:
     """Pmf over detector outcomes 0..M, the last bin lumping all counts >= M."""
 
     probs: np.ndarray
     M: int
-    truncated: bool = True
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -185,9 +214,6 @@ class CountDistribution:
         if abs(p.sum() - 1.0) > 1e-12:
             raise NumericalConsistencyError(f"pmf mass {p.sum()!r} != 1")
         object.__setattr__(self, "probs", np.clip(p, 0.0, 1.0))
-
-    def mean(self) -> float:
-        return float(np.arange(self.M + 1) @ self.probs)
 
 
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:

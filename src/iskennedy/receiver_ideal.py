@@ -20,19 +20,12 @@ from .gaussian_states import SignalDesign
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """Binary hypothesis test over a shared truncated outcome space."""
+    """Binary hypothesis test, under equal priors, over a shared truncated outcome space."""
 
-    prior0: float
-    prior1: float
     dist0: CountDistribution
     dist1: CountDistribution
 
     def __post_init__(self):
-        if abs(self.prior0 + self.prior1 - 1.0) > 1e-12 or self.prior0 < 0 or self.prior1 < 0:
-            raise ValueError("priors must be nonnegative and sum to 1")
-        # The signaling model fixes equal priors; they are stored for clarity.
-        if abs(self.prior0 - 0.5) > 1e-12:
-            raise ValueError("only equal priors (1/2, 1/2) are supported")
         if self.dist0.M != self.dist1.M:
             raise ValueError("both conditionals must share the same resolution M")
 

@@ -87,16 +87,6 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
     return DecisionRule.from_rates(threshold_accept_set(n_th, det.M), n_th, p_fa, p_mi)
 
 
-def map_error_imperfect(design: SignalDesign, det: DetectorModel) -> float:
-    """Brute-force MAP error over the truncated outcome space.
-
-    Must coincide with the thresholded rule; exposed so callers can verify.
-    """
-    p0 = detected_count_pmf(design, det, 0).probs
-    p1 = detected_count_pmf(design, det, 1).probs
-    return 1.0 - 0.5 * sum(max(a, b) for a, b in zip(p0, p1))
-
-
 def saturation_floor(M: int, nu: float) -> float:
     """High-energy error floor nu^M / (2 M!)."""
     if nu < 0:

@@ -18,20 +18,9 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .fock_statistics import (
-    CountDistribution,
-    clamp_to_resolution,
-    dss_pmf,
-    poisson_pmf,
-    sv_pmf,
-    sv_tail_ge,
-)
+from .fock_statistics import CountDistribution, clamp_to_resolution, photon_pmf, sv_tail_ge
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
-
-# Residual squeezing below this is numerically indistinguishable from the
-# matched case; the coherent-state (Poisson) statistics take over.
-_R_M_POISSON_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,11 +43,9 @@ class ResidualSqueezing:
 
     x, y are the Bogoliubov coefficients of the composite (|x|^2 - |y|^2 = 1),
     r_m = asinh|y| the residual magnitude, theta_m its phase in (-pi, pi],
-    vartheta the factored-out rotation angle (photon statistics ignore it),
-    and gamma_m half the displacement of the symbol-1 output in the
-    squeeze-after-displace form S(r_m e^{j theta_m}) D(2 gamma_m)|0> that
-    dss_pmf takes.  It equals the matched amplitude gamma = alpha e^r at every
-    mismatch; the displace-after-squeeze amplitude is what depends on it.
+    and vartheta the factored-out rotation angle (photon statistics ignore
+    it).  The symbol-1 output is S(r_m e^{j theta_m}) D(2 gamma)|0> with the
+    matched amplitude gamma = alpha e^r at every mismatch.
     """
 
     x: complex
@@ -66,7 +53,6 @@ class ResidualSqueezing:
     r_m: float
     theta_m: float
     vartheta: float
-    gamma_m: complex
 
 
 def bogoliubov(r: float, mm: MismatchModel) -> tuple[complex, complex]:
@@ -100,9 +86,7 @@ def residual(design: SignalDesign, mm: MismatchModel) -> ResidualSqueezing:
     # D(2 alpha) S(r) = S(r) D(2 gamma) for real alpha, and the composite
     # squeezing factors as S(z_s) S(r) = R S(z_m), R a rotation by vartheta,
     # up to a global phase, so the symbol-1 output is R S(z_m) D(2 gamma)|0>.
-    gamma_m = complex(design.gamma)
-    return ResidualSqueezing(x=x, y=y, r_m=r_m, theta_m=theta_m,
-                             vartheta=vartheta, gamma_m=gamma_m)
+    return ResidualSqueezing(x=x, y=y, r_m=r_m, theta_m=theta_m, vartheta=vartheta)
 
 
 def first_order_residual(r: float, mm: MismatchModel) -> tuple[float, float]:
@@ -129,45 +113,31 @@ def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
                        symbol: int) -> CountDistribution:
     """Count statistics under residual squeezing, truncated to resolution M.
 
-    Symbol 0 sees the squeezed-vacuum distribution of r_m; symbol 1 the
-    distribution of S(r_m e^{j theta_m}) D(2 gamma_m)|0>, with gamma_m = gamma
-    (see ResidualSqueezing).  At negligible r_m both collapse to the
-    matched-case statistics.
+    Symbol 0 sees S(r_m e^{j theta_m})|0>, symbol 1 S(r_m e^{j theta_m})
+    D(2 gamma)|0> (see ResidualSqueezing).  At negligible r_m both collapse
+    to the matched-case statistics.
     """
     if symbol not in (0, 1):
         raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    if res.r_m < _R_M_POISSON_CUTOFF:
-        if symbol == 0:
-            return clamp_to_resolution(lambda n: 1.0 if n == 0 else 0.0, M)
-        mu = abs(2.0 * res.gamma_m) ** 2
-        return clamp_to_resolution(lambda n: poisson_pmf(n, mu), M)
-    if symbol == 0:
-        return clamp_to_resolution(lambda n: sv_pmf(n, res.r_m), M)
-    return clamp_to_resolution(
-        lambda n: dss_pmf(n, 2.0 * res.gamma_m, res.r_m, res.theta_m), M
-    )
+    return clamp_to_resolution(photon_pmf(2.0 * design.gamma * symbol, res.r_m, res.theta_m), M)
 
 
 def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     """Bayes-optimal outcome labeling over the truncated space.
 
-    Accept (decide 1) exactly where the weighted likelihood of symbol 1 is
-    at least that of symbol 0; the resulting error is
-    1 - sum_n max{pi0 P(n|0), pi1 P(n|1)}, the minimum over all labelings.
+    Accept (decide 1) exactly where the likelihood of symbol 1 is at least
+    that of symbol 0; under equal priors the resulting error is
+    1 - sum_n max{P(n|0), P(n|1)}/2, the minimum over all labelings.
     """
     p0 = problem.dist0.probs
     p1 = problem.dist1.probs
-    accept = frozenset(
-        n for n in range(problem.M + 1)
-        if problem.prior1 * p1[n] >= problem.prior0 * p0[n]
-    )
+    accept = frozenset(n for n in range(problem.M + 1) if p1[n] >= p0[n])
     p_fa = float(sum(p0[n] for n in accept))
     p_mi = float(sum(p1[n] for n in range(problem.M + 1) if n not in accept))
     threshold = None
     if accept == threshold_accept_set(min(accept, default=problem.M + 1), problem.M):
         threshold = min(accept, default=None)
-    return DecisionRule(accept_set=accept, threshold=threshold, p_fa=p_fa, p_mi=p_mi,
-                        p_err=problem.prior0 * p_fa + problem.prior1 * p_mi)
+    return DecisionRule.from_rates(accept, threshold, p_fa, p_mi)
 
 
 def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> DecisionRule:
@@ -176,7 +146,7 @@ def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> Decision
     P_FA = 1 - 1/cosh r_m (squeezed vacuum is not empty); P_Mi is the vacuum
     element of the symbol-1 distribution.
     """
-    r_m, theta_m, gm2 = res.r_m, res.theta_m, 2.0 * res.gamma_m
+    r_m, theta_m, gm2 = res.r_m, res.theta_m, 2.0 * design.gamma
     p_fa = -math.expm1(-math.log(math.cosh(r_m)))  # 1 - 1/cosh r_m
     p_mi = (1.0 / math.cosh(r_m)) * math.exp(
         -abs(gm2) ** 2 + (cmath.exp(-1j * theta_m) * gm2 * gm2).real * math.tanh(r_m)
@@ -212,8 +182,6 @@ def p_err_mismatch(design: SignalDesign, mm: MismatchModel, M: int) -> DecisionR
     """Full pipeline: Bogoliubov reduction, count statistics, set-based MAP."""
     res = residual(design, mm)
     problem = DecisionProblem(
-        prior0=0.5,
-        prior1=0.5,
         dist0=mismatch_count_pmf(design, res, M, 0),
         dist1=mismatch_count_pmf(design, res, M, 1),
     )

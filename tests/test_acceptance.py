@@ -226,8 +226,7 @@ def test_criterion_11_property_suites():
     for M in (2, 5, 10):
         design = design_at_optimal_beta(0.8)
         res = residual(design, MismatchModel(0.05, 0.1))
-        problem = DecisionProblem(prior0=0.5, prior1=0.5,
-                                  dist0=mismatch_count_pmf(design, res, M, 0),
+        problem = DecisionProblem(dist0=mismatch_count_pmf(design, res, M, 0),
                                   dist1=mismatch_count_pmf(design, res, M, 1))
         rule = map_set_decision(problem)
         p0, p1 = problem.dist0.probs, problem.dist1.probs

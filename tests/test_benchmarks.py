@@ -6,9 +6,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from iskennedy import (
-    BenchmarkCurvePoint,
     BracketError,
-    CurveLabel,
     crossover_sql_dss_vs_hb_cs,
     design_at_optimal_beta,
     hb_dss_opt,
@@ -103,13 +101,6 @@ def test_helstrom_below_homodyne():
     for N in np.linspace(0.05, 5.0, 100):
         assert hb_dss_opt(N) <= sql_dss_opt(N)
         assert helstrom_cs(N) <= sql_cs(N)
-
-
-def test_curve_point_validation():
-    pt = BenchmarkCurvePoint(N=1.0, value=0.25, label=CurveLabel.HB_CS)
-    assert pt.label is CurveLabel.HB_CS
-    with pytest.raises(ValueError):
-        BenchmarkCurvePoint(N=1.0, value=0.6, label=CurveLabel.SQL_CS)
 
 
 def test_domain_errors():

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from iskennedy import design_at_optimal_beta, p_err_ideal
-from iskennedy.cli import main
+from iskennedy import design_at_optimal_beta, make_design, p_err_ideal
+from iskennedy.cli import main, scenario_fails
 
-from oracles import receiver_output_pmf
+from oracles import displaced_squeezed_pmf, receiver_output_pmf
 
 
 def run_cli(args, tmp_path=None):
@@ -91,6 +91,29 @@ def test_populations_output_stage():
     np.testing.assert_allclose(p1, oracle[:9], atol=1e-12)
 
 
+@pytest.mark.parametrize("stage", ["input", "nulled", "output"])
+@pytest.mark.parametrize("beta, atol", [
+    ("0", 1e-12),      # coherent alphabet
+    ("1e-20", 1e-9),   # r = 1e-10: the Poisson law stands in, off by O(r)
+    (None, 1e-12),     # optimal split: squeezed-vacuum and DSS laws
+])
+def test_populations_stage_matches_oracle(stage, beta, atol):
+    args = ["populations", "--N", "1.0", "--stage", stage, "--nmax", "12"]
+    code, out = run_cli(args + (["--beta", beta] if beta else []))
+    assert code == 0
+    d = make_design(1.0, float(beta)) if beta else design_at_optimal_beta(1.0)
+    if stage == "input":
+        oracle = [displaced_squeezed_pmf(s * d.alpha, d.r, 0.0) for s in (-1, 1)]
+    elif stage == "nulled":
+        oracle = [displaced_squeezed_pmf(a, d.r, 0.0) for a in (0.0, 2.0 * d.alpha)]
+    else:
+        oracle = [receiver_output_pmf(d.alpha, d.r, -d.r, symbol=s) for s in (0, 1)]
+    rows = parse_csv(out)
+    for symbol in (0, 1):
+        got = [float(r[f"p_given_{symbol}"]) for r in rows]
+        np.testing.assert_allclose(got, oracle[symbol][:13], atol=atol)
+
+
 def test_populations_input_stage_normalizes():
     code, out = run_cli(["populations", "--N", "1.0", "--stage", "input", "--nmax", "60"])
     rows = parse_csv(out)
@@ -124,6 +147,27 @@ def test_validate_small_run():
     rows = parse_csv(out)
     assert len(rows) == 6
     assert all(abs(float(r["z_score"])) <= 4.0 for r in rows)
+
+
+def test_validate_rare_scenario_seed():
+    # The N=2.0 mismatch scenario expects 0.039 errors; this seed draws 1 (z = 4.88).
+    code, out = run_cli(["validate", "--trials", "1000000", "--seed", "20260839"])
+    assert code == 0
+    row = next(r for r in parse_csv(out) if r["scenario"].startswith("mismatch dr=0.02 dt=0 "))
+    assert int(row["fa_count"]) + int(row["mi_count"]) == 1
+    assert float(row["z_score"]) > 4.0
+
+
+def test_scenario_fails_rule():
+    p_rare = 3.8779827168567843e-08  # 0.039 errors expected in 1e6 trials
+    assert not scenario_fails(1, 1_000_000, p_rare, 4.88)
+    assert not scenario_fails(2, 1_000_000, p_rare, 10.0)
+    assert scenario_fails(5, 1_000_000, p_rare, 25.2)
+    assert not scenario_fails(0, 1_000_000, 0.0, 0.0)
+    assert scenario_fails(1, 1_000_000, 0.0, 0.0)
+    # 1000 expected errors: the |z| > 4 rule decides
+    assert scenario_fails(1130, 1_000_000, 1e-3, 4.1)
+    assert not scenario_fails(1120, 1_000_000, 1e-3, 3.9)
 
 
 def test_usage_error_exit_code():

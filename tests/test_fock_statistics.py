@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from iskennedy import (
     residual,
     sv_pmf,
 )
+from iskennedy import fock_statistics
 from iskennedy.fock_statistics import poisson_cdf_below, poisson_tail_ge, sv_tail_ge
 
 from oracles import pmf_mean, squeezed_displaced_pmf
@@ -80,6 +82,33 @@ class TestSqueezedVacuum:
         assert sv_tail_ge(4, r) == pytest.approx(direct, rel=1e-12)
         assert sv_tail_ge(3, r) == pytest.approx(direct, rel=1e-12)  # odd bin is empty
         assert sv_tail_ge(0, r) == 1.0
+
+    @pytest.mark.parametrize("r", [6.0, 7.0, 8.0])
+    def test_tail_large_r_is_complement(self, r):
+        # tanh^2 r = 1 - O(e^{-2r}): a direct sum would need millions of terms.
+        start = time.process_time()
+        tail = sv_tail_ge(3, r)
+        assert time.process_time() - start < 0.01
+        assert tail == pytest.approx(1.0 - sv_pmf(0, r) - sv_pmf(2, r), rel=1e-12)
+
+    def test_tail_complement_matches_direct_sum(self):
+        # At r = 2 the head n < 4 holds 0.39 of the mass, so the complement is
+        # taken, and a direct sum still converges within 2000 terms.
+        direct = sum(sv_pmf(n, 2.0) for n in range(4, 4000, 2))
+        assert sv_tail_ge(4, 2.0) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n_min, r, value", [
+        (10, 0.02, 2.5170619885817183e-18),
+        (3, 0.02, 5.997600691827187e-08),
+        (40, 0.5, 5.466114141474843e-15),
+    ])
+    def test_tail_small_r_direct_sum_values(self, n_min, r, value):
+        assert sv_tail_ge(n_min, r) == pytest.approx(value, rel=1e-12)
+
+    def test_tail_direct_sum_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fock_statistics, "_SV_TAIL_TERMS", 2)
+        with pytest.raises(NumericalConsistencyError):
+            sv_tail_ge(4, 0.1)
 
     @given(st.integers(min_value=0, max_value=60), st.floats(min_value=0.0, max_value=2.0))
     def test_parity_and_range(self, k, r):
@@ -153,7 +182,7 @@ class TestDssPmf:
     def test_poisson_limit_at_tiny_squeezing(self):
         d = design_at_optimal_beta(1.0)
         res = residual(d, MismatchModel(1e-6 / 2, 0.0))  # r_m = 5e-7-ish
-        alpha = 2.0 * res.gamma_m
+        alpha = 2.0 * d.gamma
         for n in range(21):
             assert dss_pmf(n, alpha, 1e-6, res.theta_m) == pytest.approx(
                 poisson_pmf(n, abs(alpha) ** 2), abs=1e-6)
@@ -163,7 +192,7 @@ class TestDssPmf:
         # this operating point has local minima at n = 6 and n = 9.
         d = design_at_optimal_beta(0.25)
         res = residual(d, MismatchModel(0.3, 0.0))
-        p = [dss_pmf(n, 2.0 * res.gamma_m, res.r_m, res.theta_m) for n in range(11)]
+        p = [dss_pmf(n, 2.0 * d.gamma, res.r_m, res.theta_m) for n in range(11)]
         mins = [n for n in range(1, 10) if p[n] < p[n - 1] and p[n] < p[n + 1]]
         assert mins, f"no local minimum below 10 in {p}"
 

@@ -139,7 +139,6 @@ class TestThresholdEquivalence:
     def test_map_equals_threshold(self, N, M):
         design = design_at_optimal_beta(N)
         problem = DecisionProblem(
-            prior0=0.5, prior1=0.5,
             dist0=ideal_count_pmf(design, 0, M),
             dist1=ideal_count_pmf(design, 1, M),
         )
@@ -167,13 +166,5 @@ class TestDecisionTypes:
     def test_problem_requires_matching_resolution(self):
         design = design_at_optimal_beta(1.0)
         with pytest.raises(ValueError):
-            DecisionProblem(prior0=0.5, prior1=0.5,
-                            dist0=ideal_count_pmf(design, 0, 3),
+            DecisionProblem(dist0=ideal_count_pmf(design, 0, 3),
                             dist1=ideal_count_pmf(design, 1, 4))
-
-    def test_problem_requires_equal_priors(self):
-        design = design_at_optimal_beta(1.0)
-        with pytest.raises(ValueError):
-            DecisionProblem(prior0=0.4, prior1=0.6,
-                            dist0=ideal_count_pmf(design, 0, 3),
-                            dist1=ideal_count_pmf(design, 1, 3))

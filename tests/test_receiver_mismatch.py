@@ -69,7 +69,6 @@ class TestResidual:
         res = residual(d, MismatchModel(0.0, 0.0))
         assert res.r_m == pytest.approx(0.0, abs=1e-14)
         assert res.theta_m == 0.0
-        assert res.gamma_m == pytest.approx(d.gamma, rel=1e-12)
 
     def test_amplitude_only(self):
         d = design_at_optimal_beta(1.0)
@@ -154,14 +153,15 @@ class TestFirstOrderResidual:
 
 
 class TestMismatchCountPmf:
-    def test_matched_limit_recovers_ideal(self):
-        d = design_at_optimal_beta(1.0)
-        res = residual(d, MismatchModel(0.0, 0.0))
-        p0 = mismatch_count_pmf(d, res, 4, 0)
-        p1 = mismatch_count_pmf(d, res, 4, 1)
-        np.testing.assert_allclose(p0.probs, [1, 0, 0, 0, 0], atol=0)
+    @pytest.mark.parametrize("N", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_matched_limit_recovers_ideal(self, N, M):
         from iskennedy import ideal_count_pmf
-        np.testing.assert_allclose(p1.probs, ideal_count_pmf(d, 1, 4).probs, atol=1e-14)
+        d = design_at_optimal_beta(N)
+        res = residual(d, MismatchModel(0.0, 0.0))
+        for symbol in (0, 1):
+            np.testing.assert_allclose(mismatch_count_pmf(d, res, M, symbol).probs,
+                                       ideal_count_pmf(d, symbol, M).probs, atol=1e-14)
 
     def test_symbol0_parity(self):
         d = design_at_optimal_beta(1.0)
@@ -198,14 +198,14 @@ class TestMismatchCountPmf:
 
     def test_symbol1_is_displaced_squeezed_law(self):
         # Contract: the symbol-1 statistics are the displaced-squeezed-state
-        # law evaluated at the effective displacement 2 gamma_m.
+        # law evaluated at the effective displacement 2 gamma.
         d = design_at_optimal_beta(1.0)
         res = residual(d, MismatchModel(0.02, 0.03 * math.pi))
         dist = mismatch_count_pmf(d, res, 6, 1)
         for n in range(6):
             assert dist.probs[n] == pytest.approx(
-                dss_pmf(n, 2.0 * res.gamma_m, res.r_m, res.theta_m), abs=1e-14)
-        oracle = squeezed_displaced_pmf(2.0 * res.gamma_m, res.r_m, res.theta_m, dim=160)
+                dss_pmf(n, 2.0 * d.gamma, res.r_m, res.theta_m), abs=1e-14)
+        oracle = squeezed_displaced_pmf(2.0 * d.gamma, res.r_m, res.theta_m, dim=160)
         np.testing.assert_allclose(dist.probs[:6], oracle[:6], atol=1e-12)
 
 
@@ -213,8 +213,7 @@ class TestMapSetDecision:
     def test_degenerate_ideal_case(self):
         from iskennedy import ideal_count_pmf
         d = design_at_optimal_beta(1.0)
-        problem = DecisionProblem(prior0=0.5, prior1=0.5,
-                                  dist0=ideal_count_pmf(d, 0, 5),
+        problem = DecisionProblem(dist0=ideal_count_pmf(d, 0, 5),
                                   dist1=ideal_count_pmf(d, 1, 5))
         rule = map_set_decision(problem)
         assert rule.accept_set == frozenset(range(1, 6))
@@ -224,8 +223,7 @@ class TestMapSetDecision:
     def test_beats_every_relabeling(self, M):
         d = design_at_optimal_beta(0.8)
         res = residual(d, MismatchModel(0.05, 0.1))
-        problem = DecisionProblem(prior0=0.5, prior1=0.5,
-                                  dist0=mismatch_count_pmf(d, res, M, 0),
+        problem = DecisionProblem(dist0=mismatch_count_pmf(d, res, M, 0),
                                   dist1=mismatch_count_pmf(d, res, M, 1))
         rule = map_set_decision(problem)
         p0, p1 = problem.dist0.probs, problem.dist1.probs
@@ -239,8 +237,7 @@ class TestMapSetDecision:
     def test_error_is_max_sum_formula(self):
         d = design_at_optimal_beta(1.2)
         res = residual(d, MismatchModel(0.03, -0.08))
-        problem = DecisionProblem(prior0=0.5, prior1=0.5,
-                                  dist0=mismatch_count_pmf(d, res, 6, 0),
+        problem = DecisionProblem(dist0=mismatch_count_pmf(d, res, 6, 0),
                                   dist1=mismatch_count_pmf(d, res, 6, 1))
         rule = map_set_decision(problem)
         max_sum = 1.0 - 0.5 * sum(
@@ -270,7 +267,7 @@ class TestSpdMismatch:
         res = residual(d, MismatchModel(0.02, 0.03 * math.pi))
         rule = spd_mismatch_error(d, res)
         assert rule.p_mi == pytest.approx(
-            dss_pmf(0, 2.0 * res.gamma_m, res.r_m, res.theta_m), abs=1e-12)
+            dss_pmf(0, 2.0 * d.gamma, res.r_m, res.theta_m), abs=1e-12)
 
     def test_high_energy_floor(self):
         d = design_at_optimal_beta(10.0)
