@@ -10,7 +10,8 @@ S(r e^{j theta}) D(alpha_c) |0>; its n = 0 element is the vacuum overlap
 (1/cosh r) exp(-|a|^2 + Re[e^{-j theta} a^2] tanh r), and the Hermite
 argument alpha_c e^{-j theta/2} / sqrt(sinh 2r) is the unique scaling for
 which the distribution is normalized (checked against an independent
-Fock-space oracle in the test suite).
+Fock-space oracle in the test suite).  One law runs one Hermite recurrence
+and keeps its values, so its first n values cost O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ _POISSON_CUTOFF_R = 1e-8
 _SV_TAIL_TERMS = 100_000
 
 
+def _count(n) -> int:
+    if n < 0 or n != int(n):
+        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
 def poisson_pmf(n: int, mu: float) -> float:
     """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20)."""
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
-    if n < 0 or n != int(n):
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = _count(n)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     if n <= 20:
@@ -80,9 +85,7 @@ def sv_pmf(n: int, r: float) -> float:
     (2k)!/(2^{2k} (k!)^2) tanh^{2k}(r) / cosh(r) with n = 2k."""
     if r < 0:
         raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
-    if n < 0 or n != int(n):
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = _count(n)
     if n % 2 == 1:
         return 0.0
     if r == 0.0:
@@ -137,20 +140,40 @@ def hermite_complex(n: int, z: complex) -> complex:
     return h
 
 
-def _hermite_abs2_log(n: int, z: complex) -> float:
-    """log |H_n(z)|^2 with on-the-fly rescaling; -inf when H_n(z) = 0."""
-    h_prev, h = 0.0 + 0.0j, 1.0 + 0.0j
-    log_scale = 0.0
-    for k in range(n):
-        h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
-        m = max(abs(h), abs(h_prev))
-        if m > _RESCALE_AT:
-            h /= m
-            h_prev /= m
-            log_scale += math.log(m)
-    if h == 0:
-        return -math.inf
-    return 2.0 * (math.log(abs(h)) + log_scale)
+def _dss_law(A: complex, r: float, theta: float) -> Callable[[int], float]:
+    """DSS pmf (r > 0) as one running recurrence: the state (H_{k-1}, H_k,
+    log-scale) advances to the largest n asked so far and every value is
+    kept, so the first n values cost O(n) in all, read in any order."""
+    A = complex(A)
+    t = math.tanh(r)
+    two_z = 2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r)))
+    log_half_t = math.log(t / 2.0)
+    log_cosh = math.log(math.cosh(r))
+    abs2 = abs(A) ** 2
+    quad = (np.exp(-1j * theta) * A * A).real * t
+    probs: list[float] = []
+    h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+
+    def law(n: int) -> float:
+        nonlocal h_prev, h, log_scale
+        n = _count(n)
+        for k in range(len(probs), n + 1):
+            if k:
+                h_prev, h = h, two_z * h - 2.0 * (k - 1) * h_prev
+                m = max(abs(h), abs(h_prev))
+                if m > _RESCALE_AT:
+                    h /= m
+                    h_prev /= m
+                    log_scale += math.log(m)
+            if h == 0:
+                probs.append(0.0)
+                continue
+            log_p = (k * log_half_t - gammaln(k + 1) - log_cosh
+                     + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
+            probs.append(math.exp(log_p) if log_p < 0 else float(np.exp(log_p)))
+        return probs[n]
+
+    return law
 
 
 def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
@@ -163,24 +186,7 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
         raise DegenerateSqueezingError(
             f"dss_pmf requires r > 0 (got {r}); use poisson_pmf(|alpha_c|^2) instead"
         )
-    if n < 0 or n != int(n):
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    alpha_c = complex(alpha_c)
-    t = math.tanh(r)
-    arg = alpha_c * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r))
-    log_h2 = _hermite_abs2_log(n, complex(arg))
-    if log_h2 == -math.inf:
-        return 0.0
-    log_p = (
-        n * math.log(t / 2.0)
-        - gammaln(n + 1)
-        - math.log(math.cosh(r))
-        + log_h2
-        - abs(alpha_c) ** 2
-        + (np.exp(-1j * theta) * alpha_c * alpha_c).real * t
-    )
-    return math.exp(log_p) if log_p < 0 else float(np.exp(log_p))
+    return _dss_law(alpha_c, r, theta)(n)
 
 
 def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], float]:
@@ -188,14 +194,14 @@ def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], floa
 
     The one place that picks the law: Poisson of mean |A|^2 below
     r = 1e-8, the squeezed vacuum at A = 0, the displaced-squeezed law
-    otherwise.
+    (one running recurrence) otherwise.
     """
     if r < _POISSON_CUTOFF_R:
         mu = abs(A) ** 2
         return lambda n: poisson_pmf(n, mu)
     if A == 0:
         return lambda n: sv_pmf(n, r)
-    return lambda n: dss_pmf(n, A, r, theta)
+    return _dss_law(A, r, theta)
 
 
 @dataclass(frozen=True)

@@ -113,33 +113,27 @@ def apply_detector_to_pmf(pmf, det: DetectorModel, incident_cutoff: int | None =
     Experimental composition used only by the CLI: detected counts are a
     binomial thinning of the incident count plus independent Poisson darks.
     `pmf` maps an incident photon number to its probability; incident numbers
-    are summed until 1 - 1e-12 of the mass is covered (or incident_cutoff).
+    are gathered until 1 - 1e-12 of the mass is covered (or incident_cutoff).
+    Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
+    identity at eta = 1); the darks are convolved in, truncated at M.
     """
     limit = incident_cutoff if incident_cutoff is not None else 100000
-    detected = [0.0] * (det.M + 1)
+    incident = []
     covered = 0.0
-    dark = [poisson_pmf(j, det.nu) for j in range(det.M)]
     for k in range(limit + 1):
-        pk = pmf(k)
-        covered += pk
-        if pk > 0.0:
-            # P(j detected | k incident) = Binom(j; k, eta), j <= min(k, M-1)
-            for j in range(0, min(k, det.M - 1) + 1):
-                b = _binom_pmf(j, k, det.eta)
-                for n in range(j, det.M):
-                    detected[n] += pk * b * dark[n - j]
+        incident.append(pmf(k))
+        covered += incident[-1]
         if 1.0 - covered < 1e-12:
             break
-    partial = sum(detected[:det.M])
-    detected[det.M] = max(0.0, 1.0 - partial)
-    return CountDistribution(probs=np.array(detected), M=det.M)
-
-
-def _binom_pmf(j: int, k: int, eta: float) -> float:
-    if eta == 1.0:
-        return 1.0 if j == k else 0.0
-    log_b = (
-        gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
-        + j * math.log(eta) + (k - j) * math.log1p(-eta)
-    )
-    return math.exp(log_b)
+    M, K = det.M, len(incident)
+    if det.eta == 1.0:
+        thinning = np.eye(M, K)
+    else:
+        j, k = np.arange(M)[:, None], np.arange(K)
+        lost = np.maximum(k - j, 0)
+        log_b = (gammaln(k + 1) - gammaln(j + 1) - gammaln(lost + 1)
+                 + j * math.log(det.eta) + lost * math.log1p(-det.eta))
+        thinning = np.where(k >= j, np.exp(log_b), 0.0)
+    dark = np.array([poisson_pmf(n, det.nu) for n in range(M)])
+    detected = np.convolve(thinning @ np.array(incident), dark)[:M]
+    return CountDistribution(probs=np.append(detected, max(0.0, 1.0 - detected.sum())), M=M)

@@ -4,9 +4,14 @@ Operators are dense matrices built from the truncated ladder operator and
 exponentiated with scipy; nothing here shares code with the package under
 test.  Squeezing convention: S(z) = exp[(z* a^2 - z a'^2)/2], so S(r)|0>
 with r > 0 squeezes the X = (a + a')/sqrt(2) quadrature.
+
+`detector_composition` is the direct sum over incident, detected-signal and
+dark counts that the detector's thinning matrix is checked against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -64,3 +69,27 @@ def receiver_output_pmf(alpha: float, r: float, z_receiver: complex, symbol: int
 
 def pmf_mean(pmf: np.ndarray) -> float:
     return float(np.arange(len(pmf)) @ pmf)
+
+
+def detector_composition(pmf, eta: float, nu: float, M: int, cutoff: int) -> tuple[list, int]:
+    """Detected-count pmf over 0..M (bin M lumps counts >= M) of an incident
+    pmf after binomial loss eta and additive Poisson(nu) darks, by the direct
+    triple sum over incident k, detected signal j and dark count n - j.
+
+    Incident numbers are read until 1 - 1e-12 of the mass is covered or k
+    reaches `cutoff`; returns the bins and the number of pmf(k) calls.
+    """
+    dark = [math.exp(-nu) * nu ** j / math.factorial(j) for j in range(M)]
+    detected = [0.0] * M
+    covered, calls = 0.0, 0
+    for k in range(cutoff + 1):
+        pk = pmf(k)
+        calls += 1
+        covered += pk
+        for j in range(min(k, M - 1) + 1):
+            b = math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
+            for n in range(j, M):
+                detected[n] += pk * b * dark[n - j]
+        if 1.0 - covered < 1e-12:
+            break
+    return detected + [1.0 - sum(detected)], calls

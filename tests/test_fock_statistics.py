@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as scipy_poisson
 
@@ -21,7 +21,8 @@ from iskennedy import (
     sv_pmf,
 )
 from iskennedy import fock_statistics
-from iskennedy.fock_statistics import poisson_cdf_below, poisson_tail_ge, sv_tail_ge
+from iskennedy.fock_statistics import (
+    photon_pmf, poisson_cdf_below, poisson_tail_ge, sv_tail_ge)
 
 from oracles import pmf_mean, squeezed_displaced_pmf
 
@@ -200,6 +201,52 @@ class TestDssPmf:
         # alpha = 0 makes odd orders hit H_n(0) = 0 exactly
         assert dss_pmf(1, 0.0, 0.5, 0.0) == 0.0
         assert dss_pmf(5, 0.0, 0.5, 2.0) == 0.0
+
+
+# (A, r, theta, n) deep enough that |H_n(z)| passes the 1e150 rescale.
+_RESCALED = [(4.0 + 1.0j, 0.05, 0.4, 120), (6.0 - 2.0j, 1.0, -3.0, 300),
+             (3.0 + 3.0j, 2.5, 3.14159, 440)]
+
+
+class TestRunningDssLaw:
+    """photon_pmf's DSS law keeps one recurrence; dss_pmf starts a fresh one."""
+
+    def test_points_reach_the_rescale(self):
+        for A, r, theta, n in _RESCALED:
+            z = A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r))
+            assert not abs(hermite_complex(n, complex(z))) <= fock_statistics._RESCALE_AT
+
+    @given(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(1e-8, 3.0),
+           st.floats(-math.pi, math.pi, exclude_min=True),
+           st.lists(st.integers(0, 440), min_size=1, max_size=6))
+    @example(1.5, 0.5, 0.7, 1.3, [50, 3, 120])
+    @example(4.0, 1.0, 0.05, 0.4, [120, 0, 119])
+    @example(6.0, -2.0, 1.0, -3.0, [300, 440, 299])
+    @example(3.0, 3.0, 2.5, 3.14159, [440, 7])
+    @settings(max_examples=60, deadline=None)
+    def test_memo_is_bit_identical_to_scalar(self, re, im, r, theta, ns):
+        A = complex(re, im)
+        assume(A != 0)
+        law = photon_pmf(A, r, theta)
+        for n in ns:
+            assert law(n) == dss_pmf(n, A, r, theta)
+
+    def test_values_pinned_before_the_running_law(self):
+        # dss_pmf values of the per-n recurrence that the running law replaced.
+        pinned = [((1.5 + 0.5j, 0.7, 1.3, 0), 0.21644482659852987),
+                  ((0.3 - 1.1j, 0.2, -2.0, 7), 0.00016515742475717272),
+                  ((4.0 + 1.0j, 0.05, 0.4, 120), 1.1525519618738855e-87),
+                  ((6.0 - 2.0j, 1.0, -3.0, 300), 0.004888578359621126),
+                  ((3.0 + 3.0j, 2.5, 3.14159, 440), 5.971931574241806e-05)]
+        for (A, r, theta, n), value in pinned:
+            assert dss_pmf(n, A, r, theta) == value
+            assert photon_pmf(A, r, theta)(n) == value
+
+    def test_law_rejects_bad_counts(self):
+        law = photon_pmf(1.0, 0.3, 0.0)
+        for n in (-1, 1.5):
+            with pytest.raises(ValueError):
+                law(n)
 
 
 class TestClampToResolution:

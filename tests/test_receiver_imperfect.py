@@ -16,8 +16,20 @@ from iskennedy import (
     p_err_imperfect,
     poisson_pmf,
     saturation_floor,
+    sv_pmf,
 )
+from iskennedy.fock_statistics import photon_pmf
 from iskennedy.receiver_imperfect import apply_detector_to_pmf
+
+from oracles import detector_composition
+
+# Incident laws for the detector composition: name -> pmf(k).
+INCIDENT = {
+    "poisson": lambda k: poisson_pmf(k, 5.0),
+    "squeezed_vacuum": lambda k: sv_pmf(k, 0.5),
+    "dss": photon_pmf(1.7 + 0.4j, 0.3, 0.8),
+    "vacuum": lambda k: 1.0 if k == 0 else 0.0,
+}
 
 
 class TestDetectorModel:
@@ -178,3 +190,21 @@ class TestDetectorComposition:
             assert composed.probs[n] == pytest.approx(
                 poisson_pmf(n, det.eta * mu + det.nu), abs=1e-12)
         assert composed.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("law", sorted(INCIDENT))
+    @pytest.mark.parametrize("M", [1, 3, 10])
+    @pytest.mark.parametrize("nu", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
+    def test_matches_direct_triple_sum(self, eta, nu, M, law):
+        det = DetectorModel(eta=eta, nu=nu, M=M)
+        cutoff = 4 * M + 400
+        calls = []
+
+        def pmf(k):
+            calls.append(k)
+            return INCIDENT[law](k)
+
+        composed = apply_detector_to_pmf(pmf, det, incident_cutoff=cutoff)
+        reference, reference_calls = detector_composition(INCIDENT[law], eta, nu, M, cutoff)
+        np.testing.assert_allclose(composed.probs, reference, rtol=0, atol=1e-15)
+        assert calls == list(range(reference_calls))
