@@ -6,8 +6,10 @@ deliberate change of one is re-pinned together with a note saying why.
 
 The list is the README "Reproducing the standard curves" set, the default
 `validate` run, and the branches those miss: the Poisson fallback of every
-`populations` stage at beta = 0, `mismatch` at zero mismatch, and the
-experimental mismatch + detector composition.
+`populations` stage at beta = 0, `mismatch` at zero mismatch, the
+experimental mismatch + detector composition, every sweep variable of
+`detector` and `mismatch`, the empty dB cells of `ideal` and `bounds` at
+N = 0 (CSV and JSON lines), and a `--metrics` subset of `mismatch`.
 
 Re-pinned once: the experimental composition's hash moved when the detector
 became one thinning matrix and a dark-count convolution.  The sums run in a
@@ -73,6 +75,20 @@ GOLDEN = (
     ("mismatch --N 1.5 --dr 0.02 --dtheta 0.0942477796 --M 3 --eta 0.9 --nu 1e-3"
      " --experimental-detector",
      "cde63fbe37bfb0ec92f1f503501e0320b3c5c3c6169187b24b79458cb613f3e4"),
+    ("detector --sweep eta:0.5:1:6 --nu 1e-3 --M 3",
+     "ee14db646ab005e6825d8364168954f3d4dcb839acbcb17646d38a697534c6b0"),
+    ("detector --sweep nu:1e-4:1e-1:6 --M 2",
+     "58f30ad36007f422a058019f78de4278bc33ee54cb9c639d7d08a2b3d074e2d4"),
+    ("mismatch --sweep delta_r:0:0.05:6 --M 3",
+     "400ed33bfd715eab522a21d9fdaf40444ed22ba537ce74d6197bd53c8d7f2bbd"),
+    ("mismatch --sweep delta_theta:0:0.2:6 --dr 0.02 --M 1",
+     "b5bc478aa4df6b87a7a32c8ed214b7c2318166b31eadfdcbdd684572a47057eb"),
+    ("ideal --sweep N:0:1:3",
+     "9d2e3b1d4427e266acd16d076b12ca796087ccec39fbbebaa23be8eb34c8e0af"),
+    ("bounds --sweep N:0:1:3 --format jsonl",
+     "2ea6f5041ff664e80267dbb86c9f5a355144f3087051e613d91d18ef07381411"),
+    ("mismatch --N 1 --dr 0.02 --M 3 --metrics accept_set,p_err --format jsonl",
+     "2e7a8765bf87fff6b5d7ea1df0a5135ebe3c0e8d5b767840b1c45bac7fee8da0"),
 )
 
 
