@@ -1,21 +1,38 @@
 """Command-line front end: sweeps, threshold tables, and Monte Carlo checks.
 
-Subcommands
+Subcommands (sweeps: what --sweep may vary; every one also takes --metrics,
+--format and --out, and the sweeping ones --sweep)
 -----------
 bounds       benchmark error probabilities and their dB ratios to HB_CS
+             sweeps N; options --N
 ideal        ideal receiver error vs energy, with dB gains over benchmarks
+             sweeps N; options --N
 detector     receiver error with an imperfect photon counter (eta, nu, M)
+             sweeps N, eta, nu; options --N --beta --eta --nu --M
 mismatch     receiver error under inverse-squeezing mismatch (dr, dtheta, M)
-thresholds   the integer decision-threshold staircase vs energy
+             sweeps N, delta_r, delta_theta; options --N --beta --dr --dtheta
+             --M --eta --nu --experimental-detector
+thresholds   the integer decision-threshold staircase vs energy: `detector`
+             with the columns n_threshold, p_err
+             sweeps N; options --N --beta --eta --nu --M
 populations  photon-count pmfs of both symbols at one operating point
+             options --N --beta --stage --dr --dtheta --nmax
 wigner       Wigner-function samples of the two signal states on a grid
+             options --N --beta --xmin --xmax --pmin --pmax --points
 validate     Monte Carlo concordance checks; exits 4 when a scenario fails
              (|z| > 4, or below 100 expected errors a two-sided Poisson
              tail under 6.334e-5, the level of |z| > 4)
+             options --trials --seed
 
 Output is CSV (RFC-4180, '.' decimal, 17 significant digits) or JSON lines;
 rows are emitted in sweep order.  Exit codes: 0 ok, 2 usage error,
-3 numerical-consistency failure, 4 validation failure.
+3 numerical-consistency failure, 4 validation failure.  Usage errors write
+nothing: an option the subcommand does not take, a sweep variable it cannot
+vary, a non-finite number, --M < 1, --nmax < 0 and --points or --trials < 1
+are rejected before output, and so is a value a model rejects at the first
+point (--eta 2); later in a sweep, the rows before it are written first.
+A dB cell is empty at N = 0 and where one of its probabilities underflows
+to 0.
 
 A config file (--config) may hold `key = value` lines mirroring the long
 option names, e.g. `sweep = N:0.1:3.0:30`; explicit flags override it.
@@ -28,7 +45,8 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +67,7 @@ from .receiver_ideal import (
     p_err_kennedy,
     ratio_to_helstrom,
 )
-from .receiver_imperfect import (
-    DetectorModel,
-    apply_detector_to_pmf,
-    optimal_threshold,
-    p_err_imperfect,
-)
+from .receiver_imperfect import DetectorModel, apply_detector_to_pmf, p_err_imperfect
 from .receiver_mismatch import (
     MismatchModel,
     map_set_decision,
@@ -103,228 +116,260 @@ class Writer:
             self.stream.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-@contextmanager
-def open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+# --- option and subcommand declarations --------------------------------------
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
-def parse_sweep(text: str) -> tuple[str, np.ndarray]:
-    """Parse var:start:stop:steps into (var, grid)."""
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("sweep must be var:start:stop:steps")
-    var, start, stop, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
-    if var not in ("N", "eta", "nu", "delta_r", "delta_theta"):
-        raise argparse.ArgumentTypeError(f"unknown sweep variable {var!r}")
-    if steps < 2:
-        raise argparse.ArgumentTypeError("sweep needs at least 2 steps")
-    if not start < stop:
-        raise argparse.ArgumentTypeError("sweep needs start < stop")
-    return var, np.linspace(start, stop, steps)
+def at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
-def add_common(p: argparse.ArgumentParser, sweep_default: str | None = None) -> None:
-    p.add_argument("--sweep", type=parse_sweep, default=sweep_default,
-                   help="var:start:stop:steps with var in {N,eta,nu,delta_r,delta_theta}")
-    p.add_argument("--N", type=float, default=1.0, help="mean photon number (default 1.0)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="squeezing fraction (default: optimal N/(2N+1))")
-    p.add_argument("--metrics", default=None,
-                   help="comma-separated subset of the subcommand's metric columns")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+def sweep_type(variables: tuple[str, ...]):
+    """The --sweep type of a subcommand that may vary `variables`."""
+    def sweep(text: str) -> tuple[str, np.ndarray]:
+        parts = text.split(":")
+        if len(parts) != 4:
+            raise argparse.ArgumentTypeError("sweep must be var:start:stop:steps")
+        var, start, stop, steps = parts[0], finite(parts[1]), finite(parts[2]), int(parts[3])
+        if var not in variables:
+            raise argparse.ArgumentTypeError(
+                f"cannot sweep {var!r}; choose from {', '.join(variables)}")
+        if steps < 2:
+            raise argparse.ArgumentTypeError("sweep needs at least 2 steps")
+        if not start < stop:
+            raise argparse.ArgumentTypeError("sweep needs start < stop")
+        return var, np.linspace(start, stop, steps)
+    return sweep
 
 
-def select_columns(args, input_cols: list[str], metric_cols: list[str]) -> list[str]:
+# Every option, declared once: name -> add_argument keywords.  --dr and
+# --dtheta store under the sweep variable and column names they set.
+OPTIONS = {
+    "N": dict(type=finite, default=1.0, help="mean photon number (default 1.0)"),
+    "beta": dict(type=finite, default=None,
+                 help="squeezing fraction (default: optimal N/(2N+1))"),
+    "eta": dict(type=finite, default=1.0,
+                help="detection efficiency in (0,1] (experimental under mismatch)"),
+    "nu": dict(type=finite, default=0.0,
+               help="mean dark count rate >= 0 (experimental under mismatch)"),
+    "M": dict(type=at_least(1), default=1, help="detector resolution >= 1"),
+    "dr": dict(type=finite, default=0.0, dest="delta_r", help="squeezing magnitude mismatch"),
+    "dtheta": dict(type=finite, default=0.0, dest="delta_theta",
+                   help="squeezing phase mismatch (radians)"),
+    "experimental-detector": dict(
+        action="store_true", help="acknowledge the unvalidated mismatch+detector composition"),
+    "stage": dict(choices=("input", "nulled", "output"), default="output",
+                  help="alphabet stage: as sent, after nulling, after inverse squeezing"),
+    "nmax": dict(type=at_least(0), default=20, help="largest photon number emitted"),
+    "xmin": dict(type=finite, default=-4.0),
+    "xmax": dict(type=finite, default=4.0),
+    "pmin": dict(type=finite, default=-4.0),
+    "pmax": dict(type=finite, default=4.0),
+    "points": dict(type=at_least(1), default=81, help="grid points per axis"),
+    "trials": dict(type=at_least(1), default=1_000_000),
+    "seed": dict(type=int, default=20260811),
+    "metrics": dict(default=None,
+                    help="comma-separated subset of the subcommand's metric columns"),
+    "format": dict(choices=("csv", "jsonl"), default="csv"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
+
+COMMON = ("metrics", "format", "out")
+
+
+class Command(NamedTuple):
+    """A subcommand: the options it reads beyond COMMON, the variables --sweep
+    may vary (none: no --sweep), and its input and metric columns.  It runs
+    as the module function cmd_<name>."""
+
+    help: str
+    options: tuple[str, ...]
+    sweeps: tuple[str, ...]
+    inputs: tuple[str, ...]
+    metrics: tuple[str, ...]
+
+
+_DETECTOR = ("N", "beta", "eta", "nu", "M")
+
+COMMANDS = {
+    "bounds": Command(
+        "benchmark bounds and dB ratios to HB_CS", ("N",), ("N",), ("N",),
+        ("hb_cs", "sql_cs", "hb_dss", "sql_dss",
+         "db_sql_cs_vs_hb_cs", "db_hb_dss_vs_hb_cs", "db_sql_dss_vs_hb_cs")),
+    "ideal": Command(
+        "ideal receiver performance vs energy", ("N",), ("N",), ("N",),
+        ("p_err", "p_err_kennedy", "hb_dss", "sql_dss", "hb_cs", "sql_cs",
+         "gain_db_vs_kennedy", "gain_db_vs_sql_cs", "gain_db_vs_sql_dss",
+         "gain_db_vs_hb_cs", "db_above_hb_dss", "ratio_to_hb_dss")),
+    "detector": Command(
+        "receiver with imperfect photon counter", _DETECTOR, ("N", "eta", "nu"),
+        ("N", "eta", "nu", "M"), ("n_threshold", "p_fa", "p_mi", "p_err", "db_vs_sql_dss")),
+    "mismatch": Command(
+        "receiver under inverse-squeezing mismatch",
+        ("N", "beta", "dr", "dtheta", "M", "eta", "nu", "experimental-detector"),
+        ("N", "delta_r", "delta_theta"), ("N", "delta_r", "delta_theta", "M"),
+        ("r_m", "theta_m", "vartheta", "gamma_m_re", "gamma_m_im",
+         "accept_set", "p_fa", "p_mi", "p_err", "db_vs_sql_dss")),
+    "thresholds": Command(
+        "integer decision-threshold staircase", _DETECTOR, ("N",),
+        ("N", "eta", "nu", "M"), ("n_threshold", "p_err")),
+    "populations": Command(
+        "photon-count pmfs of both symbols", ("N", "beta", "stage", "dr", "dtheta", "nmax"),
+        (), ("n",), ("p_given_0", "p_given_1")),
+    "wigner": Command(
+        "Wigner function samples of the signal states",
+        ("N", "beta", "xmin", "xmax", "pmin", "pmax", "points"),
+        (), ("x", "p"), ("w_symbol0", "w_symbol1")),
+    "validate": Command(
+        "Monte Carlo concordance checks", ("trials", "seed"), (),
+        ("scenario", "trials", "seed", "generator"),
+        ("p_err_estimate", "p_err_reference", "std_error", "fa_count", "mi_count", "z_score")),
+}
+
+
+# --- the one table path ------------------------------------------------------
+
+def select_columns(metrics: str | None, spec: Command) -> list[str]:
     """Inputs are always echoed; --metrics restricts which metrics follow."""
-    if getattr(args, "metrics", None) is None:
-        return input_cols + metric_cols
-    chosen = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    unknown = [m for m in chosen if m not in metric_cols]
+    if metrics is None:
+        return [*spec.inputs, *spec.metrics]
+    chosen = [m.strip() for m in metrics.split(",") if m.strip()]
+    unknown = [m for m in chosen if m not in spec.metrics]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown metric(s) {unknown}; registry: {metric_cols}")
-    return input_cols + chosen
+            f"unknown metric(s) {unknown}; registry: {list(spec.metrics)}")
+    return [*spec.inputs, *chosen]
 
 
-def add_detector_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=1.0, help="detection efficiency in (0,1]")
-    p.add_argument("--nu", type=float, default=0.0, help="mean dark count rate >= 0")
-    p.add_argument("--M", type=int, default=1, help="detector resolution >= 1")
+def emit(args, rows) -> int:
+    """Write `rows`, dicts made lazily in order, as the subcommand's table.
+
+    The first row is made before the output opens, so a value that a model
+    rejects at the first point writes nothing."""
+    cols = select_columns(args.metrics, COMMANDS[args.command])
+    rows = iter(rows)
+    first = next(rows)
+    to_file = args.out not in (None, "-")
+    with open(args.out, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
+        w = Writer(fh, cols, args.format)
+        w.write(first)
+        for row in rows:
+            w.write(row)
+    return EXIT_OK
 
 
-def add_mismatch_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dr", type=float, default=0.0, help="squeezing magnitude mismatch")
-    p.add_argument("--dtheta", type=float, default=0.0, help="squeezing phase mismatch (radians)")
-    p.add_argument("--M", type=int, default=1, help="detector resolution >= 1")
+def sweep_points(args):
+    """`args` once per --sweep value, with the swept variable set to it."""
+    var, grid = args.sweep or ("N", (args.N,))
+    for v in grid:
+        setattr(args, var, float(v))
+        yield args
 
 
 def design_for(N: float, beta: float | None):
     return make_design(N, beta) if beta is not None else design_at_optimal_beta(N)
 
 
-def sweep_values(args, default_var: str = "N") -> tuple[str, np.ndarray]:
-    if args.sweep is None:
-        return default_var, np.array([args.N])
-    return args.sweep
+def _db(a: float, b: float) -> float | None:
+    """10 log10(a/b), or an empty cell where either probability underflowed to 0."""
+    return benchmarks.ratio_db(a, b) if a > 0 and b > 0 else None
 
 
 # --- subcommand bodies -------------------------------------------------------
 
+def _bounds_row(a) -> dict:
+    N = a.N
+    row = {"N": N, "hb_cs": benchmarks.helstrom_cs(N), "sql_cs": benchmarks.sql_cs(N),
+           "hb_dss": benchmarks.hb_dss_opt(N), "sql_dss": benchmarks.sql_dss_opt(N)}
+    if N > 0:
+        hb_c = row["hb_cs"]
+        row["db_sql_cs_vs_hb_cs"] = _db(row["sql_cs"], hb_c)
+        row["db_hb_dss_vs_hb_cs"] = _db(row["hb_dss"], hb_c)
+        row["db_sql_dss_vs_hb_cs"] = _db(row["sql_dss"], hb_c)
+    return row
+
+
 def cmd_bounds(args) -> int:
-    var, grid = sweep_values(args)
-    if var != "N":
-        raise argparse.ArgumentTypeError("bounds sweeps over N only")
-    cols = select_columns(args, ["N"],
-                          ["hb_cs", "sql_cs", "hb_dss", "sql_dss",
-                           "db_sql_cs_vs_hb_cs", "db_hb_dss_vs_hb_cs", "db_sql_dss_vs_hb_cs"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for N in grid:
-            hb_c, sql_c = benchmarks.helstrom_cs(N), benchmarks.sql_cs(N)
-            hb_d, sql_d = benchmarks.hb_dss_opt(N), benchmarks.sql_dss_opt(N)
-            row = {"N": float(N), "hb_cs": hb_c, "sql_cs": sql_c,
-                   "hb_dss": hb_d, "sql_dss": sql_d}
-            if N > 0:
-                row["db_sql_cs_vs_hb_cs"] = benchmarks.ratio_db(sql_c, hb_c)
-                row["db_hb_dss_vs_hb_cs"] = benchmarks.ratio_db(hb_d, hb_c)
-                row["db_sql_dss_vs_hb_cs"] = benchmarks.ratio_db(sql_d, hb_c)
-            else:
-                row["db_sql_cs_vs_hb_cs"] = None
-                row["db_hb_dss_vs_hb_cs"] = None
-                row["db_sql_dss_vs_hb_cs"] = None
-            w.write(row)
-    return EXIT_OK
+    return emit(args, map(_bounds_row, sweep_points(args)))
+
+
+def _ideal_row(a) -> dict:
+    N = a.N
+    p = p_err_ideal(N)
+    row = {"N": N, "p_err": p, "p_err_kennedy": p_err_kennedy(N),
+           "hb_dss": benchmarks.hb_dss_opt(N), "sql_dss": benchmarks.sql_dss_opt(N),
+           "hb_cs": benchmarks.helstrom_cs(N), "sql_cs": benchmarks.sql_cs(N),
+           "ratio_to_hb_dss": ratio_to_helstrom(N)}
+    if N > 0:
+        row["gain_db_vs_kennedy"] = _db(row["p_err_kennedy"], p)
+        row["gain_db_vs_sql_cs"] = _db(row["sql_cs"], p)
+        row["gain_db_vs_sql_dss"] = _db(row["sql_dss"], p)
+        row["gain_db_vs_hb_cs"] = _db(row["hb_cs"], p)
+        row["db_above_hb_dss"] = _db(p, row["hb_dss"])
+    return row
 
 
 def cmd_ideal(args) -> int:
-    var, grid = sweep_values(args)
-    if var != "N":
-        raise argparse.ArgumentTypeError("ideal sweeps over N only")
-    cols = select_columns(args, ["N"],
-                          ["p_err", "p_err_kennedy", "hb_dss", "sql_dss", "hb_cs", "sql_cs",
-                           "gain_db_vs_kennedy", "gain_db_vs_sql_cs", "gain_db_vs_sql_dss",
-                           "gain_db_vs_hb_cs", "db_above_hb_dss", "ratio_to_hb_dss"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for N in grid:
-            p = p_err_ideal(N)
-            row = {"N": float(N), "p_err": p, "p_err_kennedy": p_err_kennedy(N),
-                   "hb_dss": benchmarks.hb_dss_opt(N), "sql_dss": benchmarks.sql_dss_opt(N),
-                   "hb_cs": benchmarks.helstrom_cs(N), "sql_cs": benchmarks.sql_cs(N),
-                   "ratio_to_hb_dss": ratio_to_helstrom(N)}
-            if N > 0 and p > 0:
-                row["gain_db_vs_kennedy"] = benchmarks.ratio_db(p_err_kennedy(N), p)
-                row["gain_db_vs_sql_cs"] = benchmarks.ratio_db(benchmarks.sql_cs(N), p)
-                row["gain_db_vs_sql_dss"] = benchmarks.ratio_db(benchmarks.sql_dss_opt(N), p)
-                row["gain_db_vs_hb_cs"] = benchmarks.ratio_db(benchmarks.helstrom_cs(N), p)
-                row["db_above_hb_dss"] = benchmarks.ratio_db(p, benchmarks.hb_dss_opt(N))
-            else:
-                for key in ("gain_db_vs_kennedy", "gain_db_vs_sql_cs", "gain_db_vs_sql_dss",
-                            "gain_db_vs_hb_cs", "db_above_hb_dss"):
-                    row[key] = None
-            w.write(row)
-    return EXIT_OK
+    return emit(args, map(_ideal_row, sweep_points(args)))
 
 
-def _detector_row(N: float, beta: float | None, det: DetectorModel) -> dict:
-    design = design_for(N, beta)
-    rule = p_err_imperfect(design, det)
-    return {"N": N, "eta": det.eta, "nu": det.nu, "M": det.M,
+def _db_vs_sql_dss(N: float, p_err: float) -> float | None:
+    return _db(benchmarks.sql_dss_opt(N), p_err) if N > 0 else None
+
+
+def _detector_row(a) -> dict:
+    rule = p_err_imperfect(design_for(a.N, a.beta), DetectorModel(eta=a.eta, nu=a.nu, M=a.M))
+    return {"N": a.N, "eta": a.eta, "nu": a.nu, "M": a.M,
             "n_threshold": rule.threshold, "p_fa": rule.p_fa, "p_mi": rule.p_mi,
-            "p_err": rule.p_err,
-            "db_vs_sql_dss": (benchmarks.ratio_db(benchmarks.sql_dss_opt(N), rule.p_err)
-                              if N > 0 and rule.p_err > 0 else None)}
+            "p_err": rule.p_err, "db_vs_sql_dss": _db_vs_sql_dss(a.N, rule.p_err)}
 
 
 def cmd_detector(args) -> int:
-    var, grid = sweep_values(args)
-    cols = select_columns(args, ["N", "eta", "nu", "M"],
-                          ["n_threshold", "p_fa", "p_mi", "p_err", "db_vs_sql_dss"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for v in grid:
-            N, eta, nu = args.N, args.eta, args.nu
-            if var == "N":
-                N = float(v)
-            elif var == "eta":
-                eta = float(v)
-            elif var == "nu":
-                nu = float(v)
-            else:
-                raise argparse.ArgumentTypeError(f"detector cannot sweep {var}")
-            w.write(_detector_row(N, args.beta, DetectorModel(eta=eta, nu=nu, M=args.M)))
-    return EXIT_OK
+    return emit(args, map(_detector_row, sweep_points(args)))
 
 
-def _mismatch_row(N: float, beta: float | None, mm: MismatchModel, M: int,
-                  det: DetectorModel | None) -> dict:
-    design = design_for(N, beta)
+def cmd_thresholds(args) -> int:
+    """`detector` over N with the columns n_threshold, p_err."""
+    return cmd_detector(args)
+
+
+def _mismatch_row(a) -> dict:
+    design = design_for(a.N, a.beta)
+    mm = MismatchModel(a.delta_r, a.delta_theta)
     res = residual(design, mm)
-    if det is None:
-        rule = p_err_mismatch(design, mm, M)
+    if a.eta == 1.0 and a.nu == 0.0:
+        rule = p_err_mismatch(design, mm, a.M)
     else:
         # Experimental: push the mismatch pmfs through an (eta, nu) detector.
+        det = DetectorModel(eta=a.eta, nu=a.nu, M=a.M)
         dist0, dist1 = (
             apply_detector_to_pmf(photon_pmf(A, res.r_m, res.theta_m), det,
-                                  incident_cutoff=4 * M + 400)
+                                  incident_cutoff=4 * a.M + 400)
             for A in (0.0, 2.0 * design.gamma))
         rule = map_set_decision(DecisionProblem(dist0=dist0, dist1=dist1))
-    return {"N": N, "delta_r": mm.delta_r, "delta_theta": mm.delta_theta, "M": M,
+    return {"N": a.N, "delta_r": a.delta_r, "delta_theta": a.delta_theta, "M": a.M,
             "r_m": res.r_m, "theta_m": res.theta_m, "vartheta": res.vartheta,
             "gamma_m_re": design.gamma, "gamma_m_im": 0.0,
             "accept_set": "|".join(str(n) for n in sorted(rule.accept_set)),
             "p_fa": rule.p_fa, "p_mi": rule.p_mi, "p_err": rule.p_err,
-            "db_vs_sql_dss": (benchmarks.ratio_db(benchmarks.sql_dss_opt(N), rule.p_err)
-                              if N > 0 and rule.p_err > 0 else None)}
+            "db_vs_sql_dss": _db_vs_sql_dss(a.N, rule.p_err)}
 
 
 def cmd_mismatch(args) -> int:
-    var, grid = sweep_values(args)
-    det = None
-    if args.eta != 1.0 or args.nu != 0.0:
-        if not args.experimental_detector:
-            raise argparse.ArgumentTypeError(
-                "composing mismatch with eta/nu is experimental; pass --experimental-detector")
-        det = DetectorModel(eta=args.eta, nu=args.nu, M=args.M)
-    cols = select_columns(args, ["N", "delta_r", "delta_theta", "M"],
-                          ["r_m", "theta_m", "vartheta", "gamma_m_re", "gamma_m_im",
-                           "accept_set", "p_fa", "p_mi", "p_err", "db_vs_sql_dss"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for v in grid:
-            N, dr, dth = args.N, args.dr, args.dtheta
-            if var == "N":
-                N = float(v)
-            elif var == "delta_r":
-                dr = float(v)
-            elif var == "delta_theta":
-                dth = float(v)
-            else:
-                raise argparse.ArgumentTypeError(f"mismatch cannot sweep {var}")
-            w.write(_mismatch_row(N, args.beta, MismatchModel(dr, dth), args.M, det))
-    return EXIT_OK
-
-
-def cmd_thresholds(args) -> int:
-    var, grid = sweep_values(args)
-    if var != "N":
-        raise argparse.ArgumentTypeError("thresholds sweeps over N only")
-    det = DetectorModel(eta=args.eta, nu=args.nu, M=args.M)
-    cols = select_columns(args, ["N", "eta", "nu", "M"], ["n_threshold", "p_err"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for N in grid:
-            design = design_for(float(N), args.beta)
-            rule = p_err_imperfect(design, det)
-            w.write({"N": float(N), "eta": det.eta, "nu": det.nu, "M": det.M,
-                     "n_threshold": optimal_threshold(det, design.n_eff),
-                     "p_err": rule.p_err})
-    return EXIT_OK
+    if (args.eta != 1.0 or args.nu != 0.0) and not args.experimental_detector:
+        raise argparse.ArgumentTypeError(
+            "composing mismatch with eta/nu is experimental; pass --experimental-detector")
+    return emit(args, map(_mismatch_row, sweep_points(args)))
 
 
 def _stage_pmfs(design, stage: str, mm: MismatchModel):
@@ -346,29 +391,24 @@ def _stage_pmfs(design, stage: str, mm: MismatchModel):
 
 def cmd_populations(args) -> int:
     design = design_for(args.N, args.beta)
-    pmf0, pmf1 = _stage_pmfs(design, args.stage, MismatchModel(args.dr, args.dtheta))
-    cols = select_columns(args, ["n"], ["p_given_0", "p_given_1"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for n in range(args.nmax + 1):
-            w.write({"n": n, "p_given_0": pmf0(n), "p_given_1": pmf1(n)})
-    return EXIT_OK
+    pmf0, pmf1 = _stage_pmfs(design, args.stage, MismatchModel(args.delta_r, args.delta_theta))
+    return emit(args, ({"n": n, "p_given_0": pmf0(n), "p_given_1": pmf1(n)}
+                       for n in range(args.nmax + 1)))
 
 
 def cmd_wigner(args) -> int:
     design = design_for(args.N, args.beta)
-    xs = np.linspace(args.xmin, args.xmax, args.points)
-    ps = np.linspace(args.pmin, args.pmax, args.points)
-    cols = select_columns(args, ["x", "p"], ["w_symbol0", "w_symbol1"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
+    xs = np.linspace(args.xmin, args.xmax, args.points).tolist()
+    ps = np.linspace(args.pmin, args.pmax, args.points).tolist()
+
+    def rows():
         for x in xs:
             for p in ps:
-                pt = PhaseSpacePoint(float(x), float(p))
-                w.write({"x": float(x), "p": float(p),
-                         "w_symbol0": wigner_dss(pt, design, 0),
-                         "w_symbol1": wigner_dss(pt, design, 1)})
-    return EXIT_OK
+                pt = PhaseSpacePoint(x, p)
+                yield {"x": x, "p": p, "w_symbol0": wigner_dss(pt, design, 0),
+                       "w_symbol1": wigner_dss(pt, design, 1)}
+
+    return emit(args, rows())
 
 
 def validation_battery(trials: int, seed: int) -> list[dict]:
@@ -400,13 +440,7 @@ def validation_battery(trials: int, seed: int) -> list[dict]:
 
 def cmd_validate(args) -> int:
     rows = validation_battery(args.trials, args.seed)
-    cols = select_columns(args, ["scenario", "trials", "seed", "generator"],
-                          ["p_err_estimate", "p_err_reference", "std_error",
-                           "fa_count", "mi_count", "z_score"])
-    with open_out(args.out) as fh:
-        w = Writer(fh, cols, args.format)
-        for row in rows:
-            w.write(row)
+    emit(args, rows)
     failed = [r for r in rows if scenario_fails(r["fa_count"] + r["mi_count"], r["trials"],
                                                 r["p_err_reference"], r["z_score"])]
     for r in failed:
@@ -438,62 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iskennedy",
         description="Squeezed-light BPSK discrimination laboratory",
     )
-    parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="benchmark bounds and dB ratios to HB_CS")
-    add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("ideal", help="ideal receiver performance vs energy")
-    add_common(p)
-    p.set_defaults(func=cmd_ideal)
-
-    p = sub.add_parser("detector", help="receiver with imperfect photon counter")
-    add_common(p)
-    add_detector_opts(p)
-    p.set_defaults(func=cmd_detector)
-
-    p = sub.add_parser("mismatch", help="receiver under inverse-squeezing mismatch")
-    add_common(p)
-    add_mismatch_opts(p)
-    p.add_argument("--eta", type=float, default=1.0,
-                   help="experimental: detector efficiency applied on top of mismatch")
-    p.add_argument("--nu", type=float, default=0.0,
-                   help="experimental: dark count rate applied on top of mismatch")
-    p.add_argument("--experimental-detector", action="store_true",
-                   help="acknowledge the unvalidated mismatch+detector composition")
-    p.set_defaults(func=cmd_mismatch)
-
-    p = sub.add_parser("thresholds", help="integer decision-threshold staircase")
-    add_common(p)
-    add_detector_opts(p)
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("populations", help="photon-count pmfs of both symbols")
-    add_common(p)
-    p.add_argument("--stage", choices=("input", "nulled", "output"), default="output",
-                   help="alphabet stage: as sent, after nulling, after inverse squeezing")
-    p.add_argument("--dr", type=float, default=0.0)
-    p.add_argument("--dtheta", type=float, default=0.0)
-    p.add_argument("--nmax", type=int, default=20, help="largest photon number emitted")
-    p.set_defaults(func=cmd_populations)
-
-    p = sub.add_parser("wigner", help="Wigner function samples of the signal states")
-    add_common(p)
-    p.add_argument("--xmin", type=float, default=-4.0)
-    p.add_argument("--xmax", type=float, default=4.0)
-    p.add_argument("--pmin", type=float, default=-4.0)
-    p.add_argument("--pmax", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=81, help="grid points per axis")
-    p.set_defaults(func=cmd_wigner)
-
-    p = sub.add_parser("validate", help="Monte Carlo concordance checks")
-    add_common(p)
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=20260811)
-    p.set_defaults(func=cmd_validate)
-
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if spec.sweeps:
+            p.add_argument("--sweep", type=sweep_type(spec.sweeps), default=None,
+                           help=f"var:start:stop:steps with var in {{{','.join(spec.sweeps)}}}")
+        for option in spec.options + COMMON:
+            p.add_argument("--" + option, **OPTIONS[option])
+        # Looked up on each call, so wrappers installed on this module take effect.
+        p.set_defaults(func=globals()["cmd_" + name])
     return parser
 
 
@@ -550,10 +538,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalConsistencyError as exc:

@@ -258,3 +258,114 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("N,")
+
+
+# --- usage errors write nothing ------------------------------------------------
+
+def assert_usage_error_writes_nothing(args, tmp_path):
+    code, out = run_cli(args)
+    assert (code, out) == (2, "")
+    target = tmp_path / "table.csv"
+    code, out = run_cli(args + ["--out", str(target)])
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["detector", "--sweep", "delta_r:0:1:3"],
+    ["mismatch", "--sweep", "eta:0.1:1:3"],
+    ["thresholds", "--sweep", "eta:0.5:1:3"],
+    ["mismatch", "--N", "1.0", "--eta", "0.9"],  # composition without --experimental-detector
+    ["ideal", "--metrics", "not_a_metric"],
+    # outside a model's domain at the first point
+    ["detector", "--eta", "2"],
+    ["thresholds", "--nu", "-1"],
+    ["mismatch", "--eta", "2", "--experimental-detector"],
+    ["ideal", "--N", "-1"],
+    ["populations", "--dtheta", "4"],
+])
+def test_usage_error_before_output(args, tmp_path):
+    assert_usage_error_writes_nothing(args, tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["populations", "--sweep", "N:0.1:1:3"],
+    ["wigner", "--sweep", "N:0.1:1:3", "--points", "3"],
+    ["validate", "--sweep", "N:0.1:1:3", "--trials", "1000"],
+    ["validate", "--N", "2.0", "--trials", "1000"],
+    ["validate", "--beta", "0.5", "--trials", "1000"],
+    ["bounds", "--beta", "0.5"],
+    ["ideal", "--beta", "0.5"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(args, tmp_path):
+    assert_usage_error_writes_nothing(args, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["populations", "wigner", "validate"])
+def test_config_sweep_is_rejected_where_nothing_sweeps(command, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = N:0.1:1:3\n")
+    assert_usage_error_writes_nothing(["--config", str(cfg), command], tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["ideal", "--sweep", "N:0:inf:3"],
+    ["ideal", "--N", "nan"],
+    ["detector", "--sweep", "eta:0.5:inf:3"],
+    ["detector", "--eta", "nan"],
+    ["mismatch", "--dr", "-inf"],
+    ["wigner", "--xmax", "inf"],
+    ["mismatch", "--M", "0"],
+    ["detector", "--M", "-1"],
+    ["populations", "--nmax", "-1"],
+])
+def test_non_finite_and_out_of_range_inputs_are_usage_errors(args, tmp_path):
+    assert_usage_error_writes_nothing(args, tmp_path)
+
+
+def test_thresholds_is_detector_with_two_columns():
+    sweep = ["--sweep", "N:0.05:3:40", "--nu", "1e-2", "--M", "10"]
+    assert run_cli(["thresholds"] + sweep) == \
+        run_cli(["detector"] + sweep + ["--metrics", "n_threshold,p_err"])
+    code, _ = run_cli(["thresholds", "--N", "1.0", "--metrics", "p_fa"])
+    assert code == 2
+
+
+def test_db_cells_are_empty_where_a_probability_underflows():
+    # sql_dss_opt(20) and hb_dss_opt(30) underflow to 0 while the other side does not.
+    code, out = run_cli(["detector", "--N", "20", "--nu", "1e-2", "--M", "10"])
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert float(row["p_err"]) > 0 and row["db_vs_sql_dss"] == ""
+    code, out = run_cli(["bounds", "--N", "30"])
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert float(row["hb_cs"]) > 0 and row["db_hb_dss_vs_hb_cs"] == ""
+
+
+# --- the contract an outside tracer relies on ------------------------------------
+
+def test_dispatch_and_row_path_can_be_wrapped(monkeypatch):
+    import iskennedy.cli as cli
+
+    for name in ("main", "build_parser", "cmd_bounds", "cmd_ideal", "cmd_detector",
+                 "cmd_mismatch", "cmd_thresholds", "cmd_populations", "cmd_wigner",
+                 "cmd_validate"):
+        assert callable(getattr(cli, name)), name
+    assert callable(cli.Writer.write)
+    calls = {"write": 0, "dispatch": 0}
+    write, cmd_ideal = cli.Writer.write, cli.cmd_ideal
+
+    def counted_write(self, record):
+        calls["write"] += 1
+        return write(self, record)
+
+    def counted_cmd_ideal(args):
+        calls["dispatch"] += 1
+        return cmd_ideal(args)
+
+    monkeypatch.setattr(cli.Writer, "write", counted_write)
+    monkeypatch.setattr(cli, "cmd_ideal", counted_cmd_ideal)
+    code, out = run_cli(["ideal", "--sweep", "N:0.1:1:5"])
+    assert code == 0 and len(parse_csv(out)) == 5
+    assert calls == {"write": 5, "dispatch": 1}
