@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.special import erfc
-
 from .errors import BracketError
 from .gaussian_states import design_at_optimal_beta
 
@@ -37,7 +35,7 @@ def sql_dss(alpha: float, r: float) -> float:
     """Homodyne limit for the squeezed alphabet, erfc(sqrt(2) a e^r)/2."""
     if alpha < 0 or r < 0:
         raise ValueError("alpha and r must be >= 0")
-    return 0.5 * erfc(math.sqrt(2.0) * alpha * math.exp(r))
+    return 0.5 * math.erfc(math.sqrt(2.0) * alpha * math.exp(r))
 
 
 def helstrom_cs(N: float) -> float:
@@ -51,7 +49,7 @@ def sql_cs(N: float) -> float:
     """Homodyne limit for coherent-state BPSK, erfc(sqrt(2N))/2."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return 0.5 * erfc(math.sqrt(2.0 * N))
+    return 0.5 * math.erfc(math.sqrt(2.0 * N))
 
 
 def hb_dss_opt(N: float) -> float:
@@ -65,7 +63,7 @@ def sql_dss_opt(N: float) -> float:
     """Squeezed-alphabet homodyne limit at the optimal energy split."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return 0.5 * erfc(math.sqrt(2.0 * N * (N + 1.0)))
+    return 0.5 * math.erfc(math.sqrt(2.0 * N * (N + 1.0)))
 
 
 def ratio_db(a: float, b: float) -> float:

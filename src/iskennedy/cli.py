@@ -29,8 +29,8 @@ rows are emitted in sweep order.  Exit codes: 0 ok, 2 usage error,
 3 numerical-consistency failure, 4 validation failure.  Usage errors write
 nothing: an option the subcommand does not take, a sweep variable it cannot
 vary, a non-finite number, --M < 1, --nmax < 0 and --points or --trials < 1
-are rejected before output, and so is a value a model rejects at the first
-point (--eta 2); later in a sweep, the rows before it are written first.
+are rejected before output, and so is a value a model rejects at any
+point of a sweep (--eta 2, --sweep eta:0.5:2:4).
 A dB cell is empty at N = 0 and where one of its probabilities underflows
 to 0.
 
@@ -255,7 +255,7 @@ def emit(args, rows) -> int:
     """Write `rows`, dicts made lazily in order, as the subcommand's table.
 
     The first row is made before the output opens, so a value that a model
-    rejects at the first point writes nothing."""
+    rejects there writes nothing."""
     cols = select_columns(args.metrics, COMMANDS[args.command])
     rows = iter(rows)
     first = next(rows)
@@ -268,12 +268,16 @@ def emit(args, rows) -> int:
     return EXIT_OK
 
 
-def sweep_points(args):
-    """`args` once per --sweep value, with the swept variable set to it."""
+def sweep_rows(args, row):
+    """`row(args)` once per --sweep value.  Every swept domain is an interval,
+    so the row at the last value is made first, before emit opens the output."""
     var, grid = args.sweep or ("N", (args.N,))
+    if args.sweep:
+        setattr(args, var, float(grid[-1]))
+        row(args)
     for v in grid:
         setattr(args, var, float(v))
-        yield args
+        yield row(args)
 
 
 def design_for(N: float, beta: float | None):
@@ -300,7 +304,7 @@ def _bounds_row(a) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    return emit(args, map(_bounds_row, sweep_points(args)))
+    return emit(args, sweep_rows(args, _bounds_row))
 
 
 def _ideal_row(a) -> dict:
@@ -320,7 +324,7 @@ def _ideal_row(a) -> dict:
 
 
 def cmd_ideal(args) -> int:
-    return emit(args, map(_ideal_row, sweep_points(args)))
+    return emit(args, sweep_rows(args, _ideal_row))
 
 
 def _db_vs_sql_dss(N: float, p_err: float) -> float | None:
@@ -335,7 +339,7 @@ def _detector_row(a) -> dict:
 
 
 def cmd_detector(args) -> int:
-    return emit(args, map(_detector_row, sweep_points(args)))
+    return emit(args, sweep_rows(args, _detector_row))
 
 
 def cmd_thresholds(args) -> int:
@@ -369,7 +373,7 @@ def cmd_mismatch(args) -> int:
     if (args.eta != 1.0 or args.nu != 0.0) and not args.experimental_detector:
         raise argparse.ArgumentTypeError(
             "composing mismatch with eta/nu is experimental; pass --experimental-detector")
-    return emit(args, map(_mismatch_row, sweep_points(args)))
+    return emit(args, sweep_rows(args, _mismatch_row))
 
 
 def _stage_pmfs(design, stage: str, mm: MismatchModel):

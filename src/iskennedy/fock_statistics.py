@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, gammainc, gammaincc
 
 from .errors import DegenerateSqueezingError, NumericalConsistencyError
 
@@ -36,7 +35,7 @@ _RESCALE_AT = 1e150
 # coherent-state (Poisson) statistics take over.
 _POISSON_CUTOFF_R = 1e-8
 
-# Terms the direct squeezed-vacuum tail sum may take before it gives up.
+# Terms a direct upper-tail sum may take before it gives up.
 _SV_TAIL_TERMS = 100_000
 
 
@@ -55,29 +54,49 @@ def poisson_pmf(n: int, mu: float) -> float:
         return 1.0 if n == 0 else 0.0
     if n <= 20:
         return math.exp(-mu) * mu ** n / math.factorial(n)
-    return math.exp(n * math.log(mu) - mu - gammaln(n + 1))
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+
+
+def _split_at(k: int, mean: float, pmf: Callable[[int, float], float], p: float,
+              a: float, c: float) -> tuple[float, float]:
+    """(P(i < k), P(i >= k)) of the pmf i -> pmf(i, p), whose terms step as
+    pmf(i, p) = pmf(i - 1, p) (a + c/i) and whose mode is at or below mean.
+
+    Only the side of k away from the mean is summed, outward from k until a
+    term falls to 2^-53 of the first; the other side is its complement, so
+    no small side is the difference of large ones.  Below the mean that is
+    at most k terms; above it, _SV_TAIL_TERMS terms raise.
+    """
+    if k <= 0:
+        return 0.0, 1.0
+    if k <= mean:
+        term = total = pmf(k - 1, p)
+        cut = 2.0 ** -53 * term
+        for i in range(k - 1, 0, -1):
+            term /= a + c / i
+            total += term
+            if term <= cut:
+                break
+        return total, 1.0 - total
+    term = total = pmf(k, p)
+    cut = 2.0 ** -53 * term
+    for i in range(k + 1, k + _SV_TAIL_TERMS):
+        if term <= cut:
+            return 1.0 - total, total
+        term *= a + c / i
+        total += term
+    raise NumericalConsistencyError(
+        f"tail sum from i = {k} did not converge in {_SV_TAIL_TERMS} terms")
 
 
 def poisson_tail_ge(k: int, mu: float) -> float:
-    """P(X >= k) for X ~ Poisson(mu), via the regularized incomplete gamma."""
-    if mu < 0:
-        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
-    if k <= 0:
-        return 1.0
-    if mu == 0.0:
-        return 0.0
-    return float(gammainc(k, mu))
+    """P(X >= k) for X ~ Poisson(mu), as a finite sum from the stable side."""
+    return _split_at(k, mu, poisson_pmf, mu, 0.0, mu)[1]
 
 
 def poisson_cdf_below(k: int, mu: float) -> float:
-    """P(X < k) for X ~ Poisson(mu)."""
-    if mu < 0:
-        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
-    if k <= 0:
-        return 0.0
-    if mu == 0.0:
-        return 1.0
-    return float(gammaincc(k, mu))
+    """P(X < k) for X ~ Poisson(mu), as a finite sum from the stable side."""
+    return _split_at(k, mu, poisson_pmf, mu, 0.0, mu)[0]
 
 
 def sv_pmf(n: int, r: float) -> float:
@@ -95,9 +114,9 @@ def sv_pmf(n: int, r: float) -> float:
         return 1.0 / math.cosh(r)
     log_t = math.log(math.tanh(r))
     log_p = (
-        gammaln(2 * k + 1)
+        math.lgamma(2 * k + 1)
         - 2 * k * math.log(2.0)
-        - 2 * gammaln(k + 1)
+        - 2 * math.lgamma(k + 1)
         + 2 * k * log_t
         - math.log(math.cosh(r))
     )
@@ -105,29 +124,10 @@ def sv_pmf(n: int, r: float) -> float:
 
 
 def sv_tail_ge(n_min: int, r: float) -> float:
-    """Sum of the squeezed-vacuum pmf over all n >= n_min.
-
-    Summed from the side that needs no cancellation: as the complement of
-    the head sum_{n < n_min} when the head holds at most half the mass,
-    otherwise directly.  The direct terms decay like tanh^2(r) and the sum
-    stops once a term falls to 1e-30 of the total; reaching _SV_TAIL_TERMS
-    terms first raises NumericalConsistencyError.
-    """
-    if n_min <= 0:
-        return 1.0
-    head = sum(sv_pmf(n, r) for n in range(0, n_min, 2))
-    if head <= 0.5:
-        return 1.0 - head
-    k0 = (n_min + 1) // 2
-    total = 0.0
-    for k in range(k0, k0 + _SV_TAIL_TERMS):
-        term = sv_pmf(2 * k, r)
-        total += term
-        if term <= 1e-30 * total:
-            return total
-    raise NumericalConsistencyError(
-        f"squeezed-vacuum tail from n = {n_min} at r = {r} did not converge "
-        f"in {_SV_TAIL_TERMS} terms")
+    """Squeezed-vacuum mass at n >= n_min: _split_at over n = 2i, step tanh^2(r) (1 - 1/2i)."""
+    t2 = math.tanh(r) ** 2
+    return _split_at((n_min + 1) // 2, 0.5 * math.sinh(r) ** 2, lambda i, r: sv_pmf(2 * i, r),
+                     r, t2, -0.5 * t2)[1]
 
 
 def hermite_complex(n: int, z: complex) -> complex:
@@ -168,7 +168,7 @@ def _dss_law(A: complex, r: float, theta: float) -> Callable[[int], float]:
             if h == 0:
                 probs.append(0.0)
                 continue
-            log_p = (k * log_half_t - gammaln(k + 1) - log_cosh
+            log_p = (k * log_half_t - math.lgamma(k + 1) - log_cosh
                      + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
             probs.append(math.exp(log_p) if log_p < 0 else float(np.exp(log_p)))
         return probs[n]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import UndefinedProblemError
 from .fock_statistics import (
@@ -95,7 +94,7 @@ def saturation_floor(M: int, nu: float) -> float:
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
     if nu == 0.0:
         return 0.0
-    return 0.5 * math.exp(M * math.log(nu) - gammaln(M + 1))
+    return 0.5 * math.exp(M * math.log(nu) - math.lgamma(M + 1))
 
 
 def exact_saturation_floor(M: int, nu: float) -> float:
@@ -131,7 +130,8 @@ def apply_detector_to_pmf(pmf, det: DetectorModel, incident_cutoff: int | None =
     else:
         j, k = np.arange(M)[:, None], np.arange(K)
         lost = np.maximum(k - j, 0)
-        log_b = (gammaln(k + 1) - gammaln(j + 1) - gammaln(lost + 1)
+        log_fact = np.array([math.lgamma(i + 1) for i in range(max(M, K))])
+        log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
                  + j * math.log(det.eta) + lost * math.log1p(-det.eta))
         thinning = np.where(k >= j, np.exp(log_b), 0.0)
     dark = np.array([poisson_pmf(n, det.nu) for n in range(M)])

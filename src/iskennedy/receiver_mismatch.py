@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .fock_statistics import CountDistribution, clamp_to_resolution, photon_pmf, sv_tail_ge
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
@@ -166,7 +164,7 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
     n_min = 2 * math.ceil(M / 2)
     k = n_min // 2
-    log_coef = gammaln(n_min + 1) - n_min * math.log(2.0) - 2.0 * gammaln(k + 1)
+    log_coef = math.lgamma(n_min + 1) - n_min * math.log(2.0) - 2.0 * math.lgamma(k + 1)
     return 0.5 * math.exp(log_coef) * abs(delta_r) ** n_min
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -283,6 +284,9 @@ def assert_usage_error_writes_nothing(args, tmp_path):
     ["mismatch", "--eta", "2", "--experimental-detector"],
     ["ideal", "--N", "-1"],
     ["populations", "--dtheta", "4"],
+    # inside at the first point of a sweep, outside at the last
+    ["detector", "--sweep", "eta:0.5:2:4"],
+    ["mismatch", "--sweep", "delta_theta:0:4:3"],
 ])
 def test_usage_error_before_output(args, tmp_path):
     assert_usage_error_writes_nothing(args, tmp_path)
@@ -321,6 +325,15 @@ def test_config_sweep_is_rejected_where_nothing_sweeps(command, tmp_path):
 ])
 def test_non_finite_and_out_of_range_inputs_are_usage_errors(args, tmp_path):
     assert_usage_error_writes_nothing(args, tmp_path)
+
+
+def test_runtime_imports_no_scipy():
+    probe = ("import sys, iskennedy, iskennedy.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_thresholds_is_detector_with_two_columns():

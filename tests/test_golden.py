@@ -17,6 +17,37 @@ different order, so the lumped bin 1 - partial moved by one ulp of 1:
 p_fa by 1.1e-16 (4.5e-12 relative), p_err by 5.6e-17 (4.7e-13 relative),
 db_vs_sql_dss by 2.0e-12 (6.0e-13 relative); p_mi and every other column
 kept their bytes.
+
+Re-pinned a second time, 19 hashes, when scipy left the runtime: erfc and
+log-gamma became math.erfc and math.lgamma, and the Poisson and
+squeezed-vacuum tails became finite sums.  Every changed cell was diffed
+against the parent's stdout; the largest relative deviation per column kind:
+
+    bounds --sweep N:0.01:3:300          probability 2.0e-15, dB 2.8e-13
+    ideal --sweep N:0.01:3:300           probability 2.0e-15, dB 3.2e-14
+    populations --stage input            probability 1.7e-15
+    populations --stage nulled           probability 5.3e-15
+    populations --dr 0.02 --dtheta ...   probability 7.2e-15
+    detector --eta 0.8 --nu 1e-9 --M 1   probability 3.0e-15, dB 2.2e-14
+    detector --nu 1e-2 --M 2             probability 3.2e-15, dB 3.5e-13
+    thresholds --nu 1e-2 --M 10          probability 2.5e-15
+    detector --M 10 --metrics db_...     dB 1.1e-13
+    mismatch --M 1                       dB 5.0e-14
+    mismatch --M 3                       probability 7.2e-15, dB 1.7e-13
+    mismatch --experimental-detector     probability 3.9e-16, dB 2.6e-16
+    detector --sweep eta:0.5:1:6         probability 6.5e-16, dB 6.6e-14
+    detector --sweep nu:1e-4:1e-1:6      probability 1.1e-15, dB 1.5e-15
+    mismatch --sweep delta_r:0:0.05:6    dB 3.1e-16
+    mismatch --sweep delta_theta:...     dB 8.2e-16
+    ideal --sweep N:0:1:3                probability 1.9e-16
+    bounds --sweep N:0:1:3 --format jsonl  probability 1.9e-16, dB 1.0e-15
+    validate                             probability 1.4e-15, z 2.0e-14
+
+The largest dB deviations sit where the ratio is near 0 dB.  Against mpmath
+at 40 digits the new values are closer: erfc on the golden arguments was
+within 15.7 ulp (scipy) and is within 2.1 ulp (math.erfc); the Poisson
+tails of the detector tables were within 3.2e-15 relative and are within
+3.9e-16.  The 11 other hashes kept their bytes.
 """
 
 import contextlib
@@ -29,9 +60,9 @@ from iskennedy.cli import main
 
 GOLDEN = (
     ("bounds --sweep N:0.01:3:300",
-     "5d814696146874fc7df6f9935aeda27a96f5f9e9db7932e1dc28c56a699782de"),
+     "e5b4ea675ed0c3b5c7757768877b762f1ef866b4f088bdb4350f245a683224a3"),
     ("ideal --sweep N:0.01:3:300",
-     "77dfdbe8f48ec17f87aae77a3292c3b3bca1bc88ce5e2cbd34176c2b6115c08a"),
+     "3467d8a702208d0e76075c87d02ad279a0392af3da3df6e36fd2e88a296d7ef4"),
     ("wigner --N 1.0 --points 101",
      "2eba8fabc60e8f87d9ec40e4d44d2ab7de823bd853e54bb4487072a549d28c22"),
     ("wigner --N 0.333333333 --beta 1.0 --points 101",
@@ -43,27 +74,27 @@ GOLDEN = (
     ("wigner --N 8.0 --beta 0 --points 101",
      "eeb7771bc9e6824bf3e1f6d8adb3832b5f874a671a7faeba984bbe6fbcf2de40"),
     ("populations --N 1.0 --stage input --nmax 12",
-     "6ed98cedcf95c188690de7f46363fa44ceea8e733a518cdb2976e972d1e59eec"),
+     "7d15fdc2d2f7dd8a4ba097367aec85d7b8c4a558213f360baae3bd48856df532"),
     ("populations --N 1.0 --stage nulled --nmax 16",
-     "493618b749638177788f2986a0c55e3047a3bce66cf9ff7397b723eec9edb7d9"),
+     "f8b55bf6b7773e186476edb7b4eba3ffdf8828f8d6f5dea28434dc8bc849b4b9"),
     ("populations --N 1.0 --stage output --nmax 16",
      "caf589ac6ff62af54e997e55190ea6c1268e53509850d172ce02af05166c151c"),
     ("detector --sweep N:0.05:3:120 --eta 0.8 --nu 1e-9 --M 1",
-     "4e3fa74fa2f68cd6d440bd922a511c9368b0322ab3f6bf2e7a01060e1c9a2f68"),
+     "20bc8bf57e97e33b7fe72005997a61114788754ddff54c1938a94921f2554523"),
     ("detector --sweep N:0.05:3:120 --nu 1e-2 --M 2",
-     "496cac62cb1fe02ace86e6d2c5095b16ac31c10afebcc56e9d981eaf37eb0a28"),
+     "03b8e098d73a57ec2727c2953af52ff8c1b3d6fad9e6aa2b0f83563e074c869f"),
     ("thresholds --sweep N:0.05:3:120 --nu 1e-2 --M 10",
-     "66863fcfb460436a1fe1ac4405cf1fca87b389196a8dc85af1cc606125fbf804"),
+     "28b3943b95cf2c98ef29a2991122b0758a5ea59bd923a9c7a9f2e168670c3bc8"),
     ("detector --sweep N:0.05:3:120 --nu 1e-2 --M 10 --metrics db_vs_sql_dss",
-     "b1f95490c7a0ad6a1d76e46ef4e974de106f3d5982f59cf4749bdf8c2b52fcc8"),
+     "66997c5f8ca7267bcb59e29f5d3a3a1e033943b45e18cc83fce531b472e21ac8"),
     ("mismatch --sweep N:0.1:3:120 --dr 0.02 --dtheta 0.0942477796 --M 1",
-     "8c3206bdf14711560b58a09d420ecce3970744756eba6af4dde21eb4e6e6e518"),
+     "57c79456efe72fd2432192b6acb577f12b2ba2b24b2c1fe52fce47d9070b57b9"),
     ("mismatch --sweep N:0.1:3:120 --dr 0.02 --dtheta 0.0942477796 --M 3",
-     "1d5805857f100127b56a2f4f0dcf4c74ea03fdaaee60f973d29558fb0b9bc9b5"),
+     "83b7584f5d9dc85271c60cb49ae9c7000abf130d63d7935c1cd97af658c9deac"),
     ("populations --N 1.0 --dr 0.02 --dtheta 0.0942477796 --nmax 20",
-     "9531f3cbfaf55278947d6be3575836147a21f00020bf1063d0ed27b21379de2d"),
+     "1cb458926ef4de98f811fcd030e3f7d1b888910121a14e1a69eebbd7600993c5"),
     ("validate --trials 1000000 --seed 20260811",
-     "65fc48d88cb3c4497fe7f928563ef94bdaea39534ec9d77faa6265bae794f829"),
+     "0ce22844f41bacc5703ed271cf1d462a21fa2b6d4003112bc49c214b1d94b40d"),
     ("populations --N 1.0 --beta 0 --stage input --nmax 12",
      "0b77a63b908175b4b691dbbbbfb0cfe18eea15f7a293bc1379486210d17e599b"),
     ("populations --N 1.0 --beta 0 --stage nulled --nmax 12",
@@ -74,19 +105,19 @@ GOLDEN = (
      "0175a80b791934ee9aade2bbfa1c34ec4a5f99a95e77c1b844d26b8f8c877328"),
     ("mismatch --N 1.5 --dr 0.02 --dtheta 0.0942477796 --M 3 --eta 0.9 --nu 1e-3"
      " --experimental-detector",
-     "cde63fbe37bfb0ec92f1f503501e0320b3c5c3c6169187b24b79458cb613f3e4"),
+     "0754912ecba75d2e56618f917036afbfddfd75698ceaa1d6c51c4d27980b41dd"),
     ("detector --sweep eta:0.5:1:6 --nu 1e-3 --M 3",
-     "ee14db646ab005e6825d8364168954f3d4dcb839acbcb17646d38a697534c6b0"),
+     "42529680f4a7c410c18a347e5185a5cd24f6532e5ebb90e084ab8bd7f09ba40e"),
     ("detector --sweep nu:1e-4:1e-1:6 --M 2",
-     "58f30ad36007f422a058019f78de4278bc33ee54cb9c639d7d08a2b3d074e2d4"),
+     "9ad88711ac00c750b542b13937742784c95685faa952c1cade0b66a457fac3c6"),
     ("mismatch --sweep delta_r:0:0.05:6 --M 3",
-     "400ed33bfd715eab522a21d9fdaf40444ed22ba537ce74d6197bd53c8d7f2bbd"),
+     "95b0543a74cb762b98c5195d79c1c41c20e89e8ffaaf1db5d5816f8cc9259a97"),
     ("mismatch --sweep delta_theta:0:0.2:6 --dr 0.02 --M 1",
-     "b5bc478aa4df6b87a7a32c8ed214b7c2318166b31eadfdcbdd684572a47057eb"),
+     "45b5f16fc5a421376665b83d7d0f0634447e0117d80f8ab08cb2fba35ecabd00"),
     ("ideal --sweep N:0:1:3",
-     "9d2e3b1d4427e266acd16d076b12ca796087ccec39fbbebaa23be8eb34c8e0af"),
+     "d2d91b9939dc3b51b9e5bf60f55a581ad2617fa23f12bf974d389fc169be4686"),
     ("bounds --sweep N:0:1:3 --format jsonl",
-     "2ea6f5041ff664e80267dbb86c9f5a355144f3087051e613d91d18ef07381411"),
+     "52256c5f208895750eeb21b90b8114cb4816bbec89b121a8c42ed14a3a56b80a"),
     ("mismatch --N 1 --dr 0.02 --M 3 --metrics accept_set,p_err --format jsonl",
      "2e7a8765bf87fff6b5d7ea1df0a5135ebe3c0e8d5b767840b1c45bac7fee8da0"),
 )
