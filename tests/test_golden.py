@@ -9,7 +9,9 @@ The list is the README "Reproducing the standard curves" set, the default
 `populations` stage at beta = 0, `mismatch` at zero mismatch, the
 experimental mismatch + detector composition, every sweep variable of
 `detector` and `mismatch`, the empty dB cells of `ideal` and `bounds` at
-N = 0 (CSV and JSON lines), and a `--metrics` subset of `mismatch`.
+N = 0 (CSV and JSON lines), a `--metrics` subset of `mismatch`, and the
+Wigner and `populations` tables in JSON lines and under --metrics and
+custom grid bounds.
 
 Re-pinned once: the experimental composition's hash moved when the detector
 became one thinning matrix and a dark-count convolution.  The sums run in a
@@ -120,6 +122,12 @@ GOLDEN = (
      "52256c5f208895750eeb21b90b8114cb4816bbec89b121a8c42ed14a3a56b80a"),
     ("mismatch --N 1 --dr 0.02 --M 3 --metrics accept_set,p_err --format jsonl",
      "2e7a8765bf87fff6b5d7ea1df0a5135ebe3c0e8d5b767840b1c45bac7fee8da0"),
+    ("wigner --N 1.0 --points 7 --format jsonl",
+     "b894481b81b204c9fb6208058fe00a2fc2d610eee61bd77419497a7e2022011f"),
+    ("wigner --N 3.0 --beta 0.111111111 --points 9 --xmin -1 --xmax 2.5 --metrics w_symbol1",
+     "44ce650fce9c6fba2e22e373911ed91551e6ee8d1d726f9b7ea42688c756e85e"),
+    ("populations --N 1.0 --format jsonl --nmax 6",
+     "3d6d67f93503b7dc7684ddec069e8ef011dfef888659bf2f5d4dede083fecb62"),
 )
 
 
