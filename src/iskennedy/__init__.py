@@ -41,6 +41,7 @@ from .gaussian_states import (
     make_design,
     optimal_beta,
     wigner_dss,
+    wigner_grid,
 )
 from .monte_carlo import (
     IdealScenario,

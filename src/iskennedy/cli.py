@@ -1,36 +1,30 @@
 """Command-line front end: sweeps, threshold tables, and Monte Carlo checks.
 
-Subcommands (sweeps: what --sweep may vary; every one also takes --metrics,
---format and --out, and the sweeping ones --sweep)
+Subcommands (the options and sweep variables of each are declared in
+COMMANDS; `iskennedy <subcommand> --help` lists them)
 -----------
 bounds       benchmark error probabilities and their dB ratios to HB_CS
-             sweeps N; options --N
 ideal        ideal receiver error vs energy, with dB gains over benchmarks
-             sweeps N; options --N
 detector     receiver error with an imperfect photon counter (eta, nu, M)
-             sweeps N, eta, nu; options --N --beta --eta --nu --M
 mismatch     receiver error under inverse-squeezing mismatch (dr, dtheta, M)
-             sweeps N, delta_r, delta_theta; options --N --beta --dr --dtheta
-             --M --eta --nu --experimental-detector
 thresholds   the integer decision-threshold staircase vs energy: `detector`
              with the columns n_threshold, p_err
-             sweeps N; options --N --beta --eta --nu --M
 populations  photon-count pmfs of both symbols at one operating point
-             options --N --beta --stage --dr --dtheta --nmax
 wigner       Wigner-function samples of the two signal states on a grid
-             options --N --beta --xmin --xmax --pmin --pmax --points
 validate     Monte Carlo concordance checks; exits 4 when a scenario fails
              (|z| > 4, or below 100 expected errors a two-sided Poisson
              tail under 6.334e-5, the level of |z| > 4)
-             options --trials --seed
 
 Output is CSV (RFC-4180, '.' decimal, 17 significant digits) or JSON lines;
-rows are emitted in sweep order.  Exit codes: 0 ok, 2 usage error,
-3 numerical-consistency failure, 4 validation failure.  Usage errors write
-nothing: an option the subcommand does not take, a sweep variable it cannot
-vary, a non-finite number, --M < 1, --nmax < 0 and --points or --trials < 1
-are rejected before output, and so is a value a model rejects at any
-point of a sweep (--eta 2, --sweep eta:0.5:2:4).
+rows are emitted in sweep order, through `emit` as column blocks (see Writer):
+a Wigner grid one x line at a time, other tables up to 256 rows at a time.
+Exit codes: 0 ok, 2 usage error, 3 numerical-consistency failure,
+4 validation failure.  Usage errors write nothing: an option the subcommand
+does not take, a sweep variable it cannot vary, a non-finite number or
+Wigner grid span, --M < 1, --nmax < 0 and --points or --trials < 1 are
+rejected before output, and so is a value a model rejects at any point of a
+sweep (--eta 2, --sweep eta:0.5:2:4).  A negative value may follow its
+option as a separate word in any float form (--dtheta -1e-3).
 A dB cell is empty at N = 0 and where one of its probabilities underflows
 to 0.
 
@@ -41,9 +35,12 @@ option names, e.g. `sweep = N:0.1:3.0:30`; explicit flags override it.
 from __future__ import annotations
 
 import argparse
-import csv
+import copy
+import functools
+import itertools
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from typing import NamedTuple
@@ -53,27 +50,11 @@ import numpy as np
 from . import benchmarks
 from .errors import NumericalConsistencyError
 from .fock_statistics import photon_pmf, poisson_cdf_below, poisson_tail_ge
-from .gaussian_states import PhaseSpacePoint, design_at_optimal_beta, make_design, wigner_dss
-from .monte_carlo import (
-    IdealScenario,
-    ImperfectScenario,
-    MismatchScenario,
-    TrialConfig,
-    simulate,
-)
-from .receiver_ideal import (
-    DecisionProblem,
-    p_err_ideal,
-    p_err_kennedy,
-    ratio_to_helstrom,
-)
+from .gaussian_states import design_at_optimal_beta, make_design, wigner_grid
+from .monte_carlo import IdealScenario, ImperfectScenario, MismatchScenario, TrialConfig, simulate
+from .receiver_ideal import DecisionProblem, p_err_ideal, p_err_kennedy, ratio_to_helstrom
 from .receiver_imperfect import DetectorModel, apply_detector_to_pmf, p_err_imperfect
-from .receiver_mismatch import (
-    MismatchModel,
-    map_set_decision,
-    p_err_mismatch,
-    residual,
-)
+from .receiver_mismatch import MismatchModel, map_set_decision, p_err_mismatch, residual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,35 +66,63 @@ _RARE_ERRORS = 100
 _TWO_SIDED_LEVEL = 6.334e-5
 
 
-def fmt(value) -> str:
+def _csv_cell(value) -> str:
     if isinstance(value, float):
         return f"{value + 0.0:.17g}"  # + 0.0 folds -0.0 into 0.0
-    return str(value)
+    if isinstance(value, str):
+        quote = any(c in value for c in ',"\r\n')
+        return '"' + value.replace('"', '""') + '"' if quote else value
+    return "" if value is None else str(value)
+
+
+def _json_cell(value) -> str:
+    return float.__repr__(value + 0.0) if isinstance(value, float) else json.dumps(value)
 
 
 class Writer:
-    """Streams OutputRecords as CSV or JSON lines with stable column order."""
+    """Streams a table as CSV or JSON lines with stable column order.
+
+    `write_block` takes a column block, {column: list of values}.  It checks
+    each column once for non-finite floats and formats it with one
+    comprehension (CSV: floats to 17 significant digits, None as an empty
+    cell; JSON lines: JSON values, None as null; -0.0 as 0.0 in both), then
+    passes each row's cells to `write`, once per output row.  A one-value
+    column stands for its value on every row of the block, and a column that
+    is the same list object as in the block before reuses its cells.
+    """
 
     def __init__(self, stream, fieldnames: list[str], kind: str):
         self.stream = stream
         self.fieldnames = fieldnames
         self.kind = kind
+        self._cell = _csv_cell if kind == "csv" else _json_cell
+        self._last: dict[str, tuple[list, list[str]]] = {}
         if kind == "csv":
-            self._csv = csv.writer(stream, lineterminator="\n")
-            self._csv.writerow(fieldnames)
-
-    def write(self, record: dict) -> None:
-        bad = [k for k, v in record.items()
-               if isinstance(v, float) and (math.isnan(v) or math.isinf(v))]
-        if bad:
-            raise NumericalConsistencyError(f"non-finite metric(s) {bad} in output row")
-        if self.kind == "csv":
-            self._csv.writerow(["" if record.get(k) is None else fmt(record.get(k))
-                                for k in self.fieldnames])
+            stream.write(",".join(fieldnames) + "\n")
         else:
-            obj = {k: (v + 0.0 if isinstance(v := record.get(k, None), float) else v)
-                   for k in self.fieldnames}
-            self.stream.write(json.dumps(obj, allow_nan=False) + "\n")
+            self._keys = [json.dumps(k) + ": " for k in fieldnames]
+
+    def _cells(self, column: str, values: list) -> list[str]:
+        last_values, cells = self._last.get(column, (None, None))
+        if values is not last_values:
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise NumericalConsistencyError(f"non-finite metric {column!r} in output block")
+            cells = [self._cell(v) for v in values]
+            self._last[column] = (values, cells)
+        return cells
+
+    def write_block(self, block: dict) -> None:
+        columns = [self._cells(c, block[c]) for c in self.fieldnames]
+        rows = max(map(len, columns))
+        for cells in zip(*(c * rows if len(c) == 1 else c for c in columns)):
+            self.write(cells)
+
+    def write(self, cells) -> None:
+        """One output row from its formatted cells."""
+        if self.kind == "csv":
+            self.stream.write(",".join(cells) + "\n")
+        else:
+            self.stream.write("{" + ", ".join(map(str.__add__, self._keys, cells)) + "}\n")
 
 
 # --- option and subcommand declarations --------------------------------------
@@ -251,42 +260,51 @@ def select_columns(metrics: str | None, spec: Command) -> list[str]:
     return [*spec.inputs, *chosen]
 
 
-def emit(args, rows) -> int:
-    """Write `rows`, dicts made lazily in order, as the subcommand's table.
+def emit(args, blocks) -> int:
+    """Write `blocks`, column blocks made lazily in order, as the subcommand's table.
 
-    The first row is made before the output opens, so a value that a model
+    The first block is made before the output opens, so a value that a model
     rejects there writes nothing."""
     cols = select_columns(args.metrics, COMMANDS[args.command])
-    rows = iter(rows)
-    first = next(rows)
+    blocks = iter(blocks)
+    first = next(blocks)
     to_file = args.out not in (None, "-")
     with open(args.out, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
         w = Writer(fh, cols, args.format)
-        w.write(first)
-        for row in rows:
-            w.write(row)
+        for block in itertools.chain((first,), blocks):
+            w.write_block(block)
     return EXIT_OK
 
 
-def sweep_rows(args, row):
-    """`row(args)` once per --sweep value.  Every swept domain is an interval,
-    so the row at the last value is made first, before emit opens the output."""
+def column_blocks(command: str, rows):
+    """Row dicts, made lazily, as blocks of up to 256 rows in every column of the subcommand."""
+    spec, rows = COMMANDS[command], iter(rows)
+    while batch := list(itertools.islice(rows, 256)):
+        yield {c: [row[c] for row in batch] for c in spec.inputs + spec.metrics}
+
+
+def sweep_blocks(args, row):
+    """`row(args)` once per --sweep value, in blocks.  Every swept domain is an
+    interval, so the row at the last value is made first, before emit opens
+    the output."""
     var, grid = args.sweep or ("N", (args.N,))
+
+    def at(value):
+        setattr(args, var, float(value))
+        return row(args)
+
     if args.sweep:
-        setattr(args, var, float(grid[-1]))
-        row(args)
-    for v in grid:
-        setattr(args, var, float(v))
-        yield row(args)
+        at(grid[-1])
+    return column_blocks(args.command, map(at, grid))
 
 
 def design_for(N: float, beta: float | None):
     return make_design(N, beta) if beta is not None else design_at_optimal_beta(N)
 
 
-def _db(a: float, b: float) -> float | None:
-    """10 log10(a/b), or an empty cell where either probability underflowed to 0."""
-    return benchmarks.ratio_db(a, b) if a > 0 and b > 0 else None
+def _db(a: float, b: float, N: float) -> float | None:
+    """10 log10(a/b), or an empty cell at N = 0 and where a probability underflowed to 0."""
+    return benchmarks.ratio_db(a, b) if N > 0 and a > 0 and b > 0 else None
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -295,16 +313,13 @@ def _bounds_row(a) -> dict:
     N = a.N
     row = {"N": N, "hb_cs": benchmarks.helstrom_cs(N), "sql_cs": benchmarks.sql_cs(N),
            "hb_dss": benchmarks.hb_dss_opt(N), "sql_dss": benchmarks.sql_dss_opt(N)}
-    if N > 0:
-        hb_c = row["hb_cs"]
-        row["db_sql_cs_vs_hb_cs"] = _db(row["sql_cs"], hb_c)
-        row["db_hb_dss_vs_hb_cs"] = _db(row["hb_dss"], hb_c)
-        row["db_sql_dss_vs_hb_cs"] = _db(row["sql_dss"], hb_c)
+    for name in ("sql_cs", "hb_dss", "sql_dss"):
+        row[f"db_{name}_vs_hb_cs"] = _db(row[name], row["hb_cs"], N)
     return row
 
 
 def cmd_bounds(args) -> int:
-    return emit(args, sweep_rows(args, _bounds_row))
+    return emit(args, sweep_blocks(args, _bounds_row))
 
 
 def _ideal_row(a) -> dict:
@@ -314,32 +329,26 @@ def _ideal_row(a) -> dict:
            "hb_dss": benchmarks.hb_dss_opt(N), "sql_dss": benchmarks.sql_dss_opt(N),
            "hb_cs": benchmarks.helstrom_cs(N), "sql_cs": benchmarks.sql_cs(N),
            "ratio_to_hb_dss": ratio_to_helstrom(N)}
-    if N > 0:
-        row["gain_db_vs_kennedy"] = _db(row["p_err_kennedy"], p)
-        row["gain_db_vs_sql_cs"] = _db(row["sql_cs"], p)
-        row["gain_db_vs_sql_dss"] = _db(row["sql_dss"], p)
-        row["gain_db_vs_hb_cs"] = _db(row["hb_cs"], p)
-        row["db_above_hb_dss"] = _db(p, row["hb_dss"])
+    for name in ("p_err_kennedy", "sql_cs", "sql_dss", "hb_cs"):
+        row["gain_db_vs_" + name.removeprefix("p_err_")] = _db(row[name], p, N)
+    row["db_above_hb_dss"] = _db(p, row["hb_dss"], N)
     return row
 
 
 def cmd_ideal(args) -> int:
-    return emit(args, sweep_rows(args, _ideal_row))
-
-
-def _db_vs_sql_dss(N: float, p_err: float) -> float | None:
-    return _db(benchmarks.sql_dss_opt(N), p_err) if N > 0 else None
+    return emit(args, sweep_blocks(args, _ideal_row))
 
 
 def _detector_row(a) -> dict:
     rule = p_err_imperfect(design_for(a.N, a.beta), DetectorModel(eta=a.eta, nu=a.nu, M=a.M))
     return {"N": a.N, "eta": a.eta, "nu": a.nu, "M": a.M,
             "n_threshold": rule.threshold, "p_fa": rule.p_fa, "p_mi": rule.p_mi,
-            "p_err": rule.p_err, "db_vs_sql_dss": _db_vs_sql_dss(a.N, rule.p_err)}
+            "p_err": rule.p_err,
+            "db_vs_sql_dss": _db(benchmarks.sql_dss_opt(a.N), rule.p_err, a.N)}
 
 
 def cmd_detector(args) -> int:
-    return emit(args, sweep_rows(args, _detector_row))
+    return emit(args, sweep_blocks(args, _detector_row))
 
 
 def cmd_thresholds(args) -> int:
@@ -366,14 +375,14 @@ def _mismatch_row(a) -> dict:
             "gamma_m_re": design.gamma, "gamma_m_im": 0.0,
             "accept_set": "|".join(str(n) for n in sorted(rule.accept_set)),
             "p_fa": rule.p_fa, "p_mi": rule.p_mi, "p_err": rule.p_err,
-            "db_vs_sql_dss": _db_vs_sql_dss(a.N, rule.p_err)}
+            "db_vs_sql_dss": _db(benchmarks.sql_dss_opt(a.N), rule.p_err, a.N)}
 
 
 def cmd_mismatch(args) -> int:
     if (args.eta != 1.0 or args.nu != 0.0) and not args.experimental_detector:
         raise argparse.ArgumentTypeError(
             "composing mismatch with eta/nu is experimental; pass --experimental-detector")
-    return emit(args, sweep_rows(args, _mismatch_row))
+    return emit(args, sweep_blocks(args, _mismatch_row))
 
 
 def _stage_pmfs(design, stage: str, mm: MismatchModel):
@@ -396,23 +405,20 @@ def _stage_pmfs(design, stage: str, mm: MismatchModel):
 def cmd_populations(args) -> int:
     design = design_for(args.N, args.beta)
     pmf0, pmf1 = _stage_pmfs(design, args.stage, MismatchModel(args.delta_r, args.delta_theta))
-    return emit(args, ({"n": n, "p_given_0": pmf0(n), "p_given_1": pmf1(n)}
-                       for n in range(args.nmax + 1)))
+    return emit(args, column_blocks(args.command, (
+        {"n": n, "p_given_0": pmf0(n), "p_given_1": pmf1(n)} for n in range(args.nmax + 1))))
 
 
 def cmd_wigner(args) -> int:
+    """One block per x line: the x cell is formatted once a line, the p column once."""
+    if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.pmax - args.pmin)):
+        raise argparse.ArgumentTypeError("the grid span overflows a float")
     design = design_for(args.N, args.beta)
     xs = np.linspace(args.xmin, args.xmax, args.points).tolist()
     ps = np.linspace(args.pmin, args.pmax, args.points).tolist()
-
-    def rows():
-        for x in xs:
-            for p in ps:
-                pt = PhaseSpacePoint(x, p)
-                yield {"x": x, "p": p, "w_symbol0": wigner_dss(pt, design, 0),
-                       "w_symbol1": wigner_dss(pt, design, 1)}
-
-    return emit(args, rows())
+    lines = zip(xs, wigner_grid(xs, ps, design, 0), wigner_grid(xs, ps, design, 1))
+    return emit(args, ({"x": [x], "p": ps, "w_symbol0": w0, "w_symbol1": w1}
+                       for x, w0, w1 in lines))
 
 
 def validation_battery(trials: int, seed: int) -> list[dict]:
@@ -429,22 +435,14 @@ def validation_battery(trials: int, seed: int) -> list[dict]:
         ("mismatch dr=0.02 dt=0.03pi M=1 N=1.0", design_at_optimal_beta(1.0),
          MismatchScenario(MismatchModel(0.02, 0.03 * math.pi), M=1)),
     ]
-    rows = []
-    for i, (label, design, scenario) in enumerate(points):
-        report = simulate(design, TrialConfig(trials=trials, seed=seed + i, scenario=scenario))
-        rows.append({"scenario": label, "trials": report.trials, "seed": report.seed,
-                     "generator": report.generator,
-                     "p_err_estimate": report.p_err_estimate,
-                     "p_err_reference": report.p_err_reference,
-                     "std_error": report.std_error,
-                     "fa_count": report.fa_count, "mi_count": report.mi_count,
-                     "z_score": report.z_score})
-    return rows
+    return [{"scenario": label, **vars(simulate(
+                design, TrialConfig(trials=trials, seed=seed + i, scenario=scenario)))}
+            for i, (label, design, scenario) in enumerate(points)]
 
 
 def cmd_validate(args) -> int:
     rows = validation_battery(args.trials, args.seed)
-    emit(args, rows)
+    emit(args, column_blocks(args.command, rows))
     failed = [r for r in rows if scenario_fails(r["fa_count"] + r["mi_count"], r["trials"],
                                                 r["p_err_reference"], r["z_score"])]
     for r in failed:
@@ -472,6 +470,12 @@ def scenario_fails(errors: int, trials: int, p_ref: float, z: float) -> bool:
 # --- parser / config plumbing ------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A copy of the process's one parser, built on first use: what is set on it stays on it."""
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iskennedy",
         description="Squeezed-light BPSK discrimination laboratory",
@@ -484,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"var:start:stop:steps with var in {{{','.join(spec.sweeps)}}}")
         for option in spec.options + COMMON:
             p.add_argument("--" + option, **OPTIONS[option])
-        # Looked up on each call, so wrappers installed on this module take effect.
-        p.set_defaults(func=globals()["cmd_" + name])
     return parser
 
 
@@ -511,37 +513,33 @@ def main(argv: list[str] | None = None) -> int:
 
     # Splice config-file values in right after the subcommand so that any
     # explicit flags (which come later) override them.
-    config_path = None
-    for i, token in enumerate(list(argv)):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                print("error: --config needs a path", file=sys.stderr)
-                return EXIT_USAGE
-            config_path = argv[i + 1]
-            del argv[i:i + 2]
-            break
-        if token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-            del argv[i]
-            break
-    if config_path is not None:
-        if not argv or argv[0].startswith("-"):
-            print("error: --config requires a subcommand", file=sys.stderr)
-            return EXIT_USAGE
+    at = next((i for i, token in enumerate(argv) if token.partition("=")[0] == "--config"), None)
+    if at is not None:
+        _, eq, path = argv.pop(at).partition("=")
         try:
-            argv[1:1] = load_config(config_path)
+            if not eq and at == len(argv):
+                raise ValueError("--config needs a path")
+            path = path if eq else argv.pop(at)
+            if not argv or argv[0].startswith("-"):
+                raise ValueError("--config requires a subcommand")
+            argv[1:1] = load_config(path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    parser = build_parser()
+    # `--dtheta -1e-3` as `--dtheta=-1e-3`: argparse takes a word that starts
+    # with '-' for a flag unless it reads like -1 or -.5.
+    for i in reversed(range(1, len(argv))):
+        if re.match(r"-\.?\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        return args.func(args)
+        # Looked up on each call, so wrappers installed on this module take effect.
+        return globals()["cmd_" + args.command](args)
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

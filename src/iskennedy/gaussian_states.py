@@ -77,10 +77,11 @@ class GaussianState:
         object.__setattr__(self, "V", V)
 
 
-def _check_symbol(symbol: int) -> int:
+def _mean_x(design: SignalDesign, symbol: int) -> float:
+    """<X> of the symbol state, -/+ sqrt(2) alpha for symbol 0/1."""
     if symbol not in (0, 1):
         raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    return symbol
+    return (1.0 if symbol == 1 else -1.0) * math.sqrt(2.0) * design.alpha
 
 
 def optimal_beta(N: float) -> float:
@@ -108,18 +109,30 @@ def design_at_optimal_beta(N: float) -> SignalDesign:
 
 def gaussian_state(design: SignalDesign, symbol: int) -> GaussianState:
     """Moments of the symbol state: d = (+/- sqrt(2) alpha, 0), V = diag(e^-2r, e^2r)/2."""
-    s = 1.0 if _check_symbol(symbol) == 1 else -1.0
-    d = np.array([s * math.sqrt(2.0) * design.alpha, 0.0])
+    d = np.array([_mean_x(design, symbol), 0.0])
     V = np.diag([0.5 * math.exp(-2.0 * design.r), 0.5 * math.exp(2.0 * design.r)])
     return GaussianState(d=d, V=V)
 
 
 def wigner_dss(point: PhaseSpacePoint, design: SignalDesign, symbol: int) -> float:
     """Wigner density (1/pi) exp{-e^2r (x -/+ sqrt(2)a)^2 - e^-2r p^2} at a point."""
-    s = 1.0 if _check_symbol(symbol) == 1 else -1.0
-    dx = point.x - s * math.sqrt(2.0) * design.alpha
+    dx = point.x - _mean_x(design, symbol)
     expo = -math.exp(2.0 * design.r) * dx * dx - math.exp(-2.0 * design.r) * point.p * point.p
     return math.exp(expo) / math.pi
+
+
+def wigner_grid(xs: list[float], ps: list[float], design: SignalDesign, symbol: int):
+    """wigner_dss over xs x ps, one x line (a list over ps) at a time; its terms are
+    hoisted but combined in the same order, so each cell is the same double."""
+    if not all(map(math.isfinite, [*xs, *ps])):
+        raise ValueError("phase-space coordinates must be finite")
+    centre = _mean_x(design, symbol)
+    minus_e2r, em2r = -math.exp(2.0 * design.r), math.exp(-2.0 * design.r)
+    p_terms = [em2r * p * p for p in ps]
+    for x in xs:
+        dx = x - centre
+        x_term = minus_e2r * dx * dx
+        yield [math.exp(x_term - p_term) / math.pi for p_term in p_terms]
 
 
 def homodyne_pdf(x: float, design: SignalDesign, symbol: int) -> float:
@@ -128,6 +141,5 @@ def homodyne_pdf(x: float, design: SignalDesign, symbol: int) -> float:
     This is the p-marginal of the Wigner function: a Gaussian of variance
     exp(-2r)/2 centered at +/- sqrt(2) alpha.
     """
-    s = 1.0 if _check_symbol(symbol) == 1 else -1.0
-    dx = x - s * math.sqrt(2.0) * design.alpha
+    dx = x - _mean_x(design, symbol)
     return math.exp(design.r) / math.sqrt(math.pi) * math.exp(-math.exp(2.0 * design.r) * dx * dx)

@@ -382,3 +382,91 @@ def test_dispatch_and_row_path_can_be_wrapped(monkeypatch):
     code, out = run_cli(["ideal", "--sweep", "N:0.1:1:5"])
     assert code == 0 and len(parse_csv(out)) == 5
     assert calls == {"write": 5, "dispatch": 1}
+    calls["write"] = 0
+    code, out = run_cli(["wigner", "--points", "3"])
+    assert code == 0 and len(parse_csv(out)) == 9
+    assert calls["write"] == 9
+
+
+def test_build_parser_returns_independent_copies_of_one_parser():
+    import iskennedy.cli as cli
+
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    argv = ["mismatch", "--N", "2", "--dr", "0.02", "--M", "3", "--format", "jsonl"]
+    assert vars(first.parse_args(argv)) == vars(second.parse_args(argv))
+    first.parse_args = None
+    assert second.parse_args is not None and cli.build_parser().parse_args is not None
+
+
+def test_block_cells_are_formatted_once_per_column(monkeypatch):
+    import iskennedy.cli as cli
+
+    formatted = []
+    csv_cell = cli._csv_cell
+    monkeypatch.setattr(cli, "_csv_cell", lambda value: formatted.append(value) or csv_cell(value))
+    code, out = run_cli(["wigner", "--points", "3"])
+    assert code == 0 and len(parse_csv(out)) == 9
+    # x once a line (3), p once a table (3), each Wigner cell once (2 x 9)
+    assert len(formatted) == 3 + 3 + 18
+
+
+def test_writer_blocks(tmp_path):
+    from iskennedy.cli import Writer
+    from iskennedy.errors import NumericalConsistencyError
+
+    texts = ["0|1", "a,b", 'say "hi"', "two\nlines", ""]
+    for kind in ("csv", "jsonl"):
+        full, split = io.StringIO(), io.StringIO()
+        Writer(full, ["k", "s", "v"], kind).write_block(
+            {"k": [7] * 5, "s": texts, "v": [-0.0, 1.5, None, 2.0, 1e-300]})
+        w = Writer(split, ["k", "s", "v"], kind)
+        w.write_block({"k": [7], "s": texts[:2], "v": [-0.0, 1.5]})
+        w.write_block({"k": [7], "s": texts[2:], "v": [None, 2.0, 1e-300]})
+        assert split.getvalue() == full.getvalue()
+    lines = full.getvalue().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"k": 7, "s": t, "v": v} for t, v in zip(texts, [0.0, 1.5, None, 2.0, 1e-300])]
+    out = io.StringIO()
+    Writer(out, ["k", "s", "v"], "csv").write_block(
+        {"k": [7] * 5, "s": texts, "v": [-0.0, 1.5, None, 2.0, 1e-300]})
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(
+        [["k", "s", "v"]] + [["7", t, v] for t, v in zip(texts, ["0", "1.5", "", "2", "1e-300"])])
+    assert out.getvalue() == reference.getvalue()
+    out = io.StringIO()
+    w = Writer(out, ["x", "w"], "csv")
+    with pytest.raises(NumericalConsistencyError, match="'w'"):
+        w.write_block({"x": [0.0, 1.0], "w": [0.5, math.nan]})
+    assert out.getvalue() == "x,w\n"
+
+
+@pytest.mark.parametrize("words, joined", [
+    (["mismatch", "--N", "1", "--dtheta", "-1e-3"], ["mismatch", "--N", "1", "--dtheta=-1e-3"]),
+    (["wigner", "--xmin", "-4e0", "--points", "3"], ["wigner", "--xmin=-4e0", "--points", "3"]),
+    (["wigner", "--pmin", "-.5E+1", "--points", "3"], ["wigner", "--pmin=-5", "--points", "3"]),
+])
+def test_negative_values_in_exponent_form(words, joined):
+    code, out = run_cli(words)
+    assert code == 0 and out
+    assert run_cli(joined) == (code, out)
+
+
+def test_negative_config_value_in_exponent_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dtheta = -1e-3\n")
+    code, out = run_cli(["--config", str(cfg), "mismatch", "--N", "1"])
+    assert code == 0 and out
+    assert run_cli(["mismatch", "--N", "1", "--dtheta=-1e-3"]) == (code, out)
+
+
+def test_overflowing_wigner_span_is_a_usage_error(tmp_path):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_usage_error_writes_nothing(
+            ["wigner", "--xmin=-1e308", "--xmax", "1e308", "--points", "3"], tmp_path)
+        assert_usage_error_writes_nothing(
+            ["wigner", "--pmin=-1e308", "--pmax", "1e308", "--points", "3"], tmp_path)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import erfc
 
@@ -14,6 +16,7 @@ from iskennedy import (
     make_design,
     optimal_beta,
     wigner_dss,
+    wigner_grid,
 )
 
 
@@ -109,6 +112,26 @@ class TestWigner:
         d = design_at_optimal_beta(1.0)
         with pytest.raises(ValueError):
             wigner_dss(PhaseSpacePoint(0.0, 0.0), d, 2)
+        with pytest.raises(ValueError):
+            next(wigner_grid([0.0], [0.0], d, 2))
+        with pytest.raises(ValueError):
+            next(wigner_grid([0.0, math.inf], [0.0], d, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.floats(0.0, 10.0), beta=st.floats(0.0, 1.0),
+       bounds=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       points=st.sampled_from((1, 2, 3, 17)))
+def test_wigner_grid_is_wigner_dss_bit_for_bit(N, beta, bounds, points):
+    d = make_design(N, beta)
+    xmin, xmax, pmin, pmax = bounds
+    xs = np.linspace(xmin, xmax, points).tolist()
+    ps = np.linspace(pmin, pmax, points).tolist()
+    for symbol in (0, 1):
+        lines = list(wigner_grid(xs, ps, d, symbol))
+        assert len(lines) == len(xs)
+        for x, line in zip(xs, lines):
+            assert line == [wigner_dss(PhaseSpacePoint(x, p), d, symbol) for p in ps]
 
 
 class TestHomodyne:
