@@ -17,6 +17,7 @@ from iskennedy import (
     simulate,
     simulate_physical_imperfect,
 )
+from iskennedy.cli import validation_battery
 from iskennedy.monte_carlo import sample_counts, scenario_problem
 
 
@@ -114,3 +115,52 @@ def test_scenario_problem_rule_consistency():
         p_mi = sum(problem.dist1.probs[n] for n in range(problem.M + 1)
                    if n not in rule.accept_set)
         assert rule.p_err == pytest.approx(0.5 * (p_fa + p_mi), abs=1e-12)
+
+
+# (fa_count, mi_count, sent0, sent1) at each (seed, trials) of _PIN_CASES, in
+# order, recorded from the sampler that binary-searched each trial's count.
+# Any change to the decision kernel must keep these reports bit for bit.
+_PIN_CASES = [(seed, trials) for seed in (20260811, 5) for trials in (1, 7, 250_000, 250_001)]
+_PINNED = {
+    "ideal N=1.0": [
+        (0, 0, 0, 1), (0, 0, 2, 5), (0, 38, 124577, 125423), (0, 38, 124578, 125423),
+        (0, 0, 1, 0), (0, 0, 4, 3), (0, 39, 124931, 125069), (0, 39, 124931, 125070)],
+    "ideal N=0.5": [
+        (0, 0, 0, 1), (0, 0, 5, 2), (0, 6287, 125001, 124999), (0, 6287, 125002, 124999),
+        (0, 0, 1, 0), (0, 0, 3, 4), (0, 6350, 124382, 125618), (0, 6350, 124383, 125618)],
+    "imperfect eta=1.0 nu=1e-2 M=2 N=3.0": [
+        (0, 0, 1, 0), (0, 0, 2, 5), (7, 0, 124824, 125176), (7, 0, 124825, 125176),
+        (0, 0, 1, 0), (0, 0, 3, 4), (7, 0, 124913, 125087), (7, 0, 124913, 125088)],
+    "imperfect eta=0.5 nu=1e-3 M=1 N=1.0": [
+        (0, 0, 0, 1), (0, 0, 4, 3), (110, 2281, 124859, 125141), (110, 2281, 124860, 125141),
+        (0, 0, 0, 1), (0, 0, 2, 5), (103, 2377, 125172, 124828), (103, 2377, 125172, 124829)],
+    "mismatch dr=0.02 dt=0 M=3 N=2.0": [
+        (0, 0, 1, 0), (0, 0, 4, 3), (0, 0, 125083, 124917), (0, 0, 125084, 124917),
+        (0, 0, 1, 0), (0, 0, 6, 1), (0, 0, 125089, 124911), (0, 0, 125089, 124912)],
+    "mismatch dr=0.02 dt=0.03pi M=1 N=1.0": [
+        (0, 0, 0, 1), (0, 0, 3, 4), (273, 54, 125056, 124944), (273, 54, 125057, 124944),
+        (0, 0, 0, 1), (0, 0, 1, 6), (253, 67, 125200, 124800), (253, 67, 125201, 124800)],
+    # Parity accept set {1, 3, 5, 7, 9, 10}: five flips of the decision.
+    "parity N=0.05 dr=0.3 dt=0.5 M=10": [
+        (0, 0, 0, 1), (0, 4, 2, 5), (1, 104140, 124577, 125423), (1, 104140, 124578, 125423),
+        (0, 0, 1, 0), (0, 3, 4, 3), (1, 103776, 124931, 125069), (1, 103777, 124931, 125070)],
+    "physical eta=0.5 nu=1e-3 M=1 N=1.0": [
+        (0, 0, 0, 1), (0, 0, 2, 5), (123, 2311, 124577, 125423), (123, 2311, 124578, 125423),
+        (0, 0, 1, 0), (0, 0, 4, 3), (144, 2338, 124931, 125069), (144, 2338, 124931, 125070)],
+}
+
+
+@pytest.mark.parametrize("case", range(len(_PIN_CASES)),
+                         ids=[f"seed{s}-trials{t}" for s, t in _PIN_CASES])
+def test_pinned_report_counts(case):
+    seed, trials = _PIN_CASES[case]
+    reports = {row["scenario"]: row for row in validation_battery(trials, seed)}
+    parity = simulate(design_at_optimal_beta(0.05), TrialConfig(
+        trials=trials, seed=seed, scenario=MismatchScenario(MismatchModel(0.3, 0.5), M=10)))
+    physical = simulate_physical_imperfect(
+        design_at_optimal_beta(1.0), DetectorModel(eta=0.5, nu=1e-3, M=1), trials, seed)
+    reports["parity N=0.05 dr=0.3 dt=0.5 M=10"] = vars(parity)
+    reports["physical eta=0.5 nu=1e-3 M=1 N=1.0"] = vars(physical)
+    got = {label: (r["fa_count"], r["mi_count"], r["sent0"], r["sent1"])
+           for label, r in reports.items()}
+    assert got == {label: pins[case] for label, pins in _PINNED.items()}
