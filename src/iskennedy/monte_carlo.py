@@ -1,10 +1,11 @@
 """Stochastic oracle: simulate symbol transmission, counting, and decision.
 
-Counts are drawn by inverse CDF from the exact truncated pmfs of the chosen
-scenario, so the sampler validates the closed-form error probabilities
-against binomial statistics rather than re-deriving the physics.  A second,
-physical-process sampler (Poisson draw, binomial thinning, additive dark
-counts) cross-checks the imperfect-detector statistics independently.
+Each trial draws u ~ U[0, 1) and is decided as its inverse-CDF count in the
+chosen scenario's exact truncated pmf would be, so the sampler validates the
+closed-form error probabilities against binomial statistics rather than
+re-deriving the physics.  A second, physical-process sampler (Poisson draw,
+binomial thinning, additive dark counts) cross-checks the imperfect-detector
+statistics independently.
 
 Sampling uses numpy's PCG64 generator.  Trials are split into fixed-size
 shards whose seeds are spawned from the master seed, so a report depends
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision
 from .receiver_imperfect import DetectorModel, detected_count_pmf, p_err_imperfect
@@ -56,8 +56,10 @@ class TrialConfig:
     scenario: Scenario
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, low in (("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,9 @@ def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
                   trials: int, seed: int) -> np.ndarray:
     """Histogram of sampled detector outcomes for one fixed symbol.
 
-    Uses the same inverse-CDF draw as `simulate`; mainly for checking the
-    sampler's empirical pmf against the analytic one.
+    Each count is the inverse-CDF draw searchsorted(cdf, u, "right") clipped
+    at M, whose decision `simulate` reads without forming it; mainly for
+    checking the sampler's empirical pmf against the analytic one.
     """
     problem, _ = scenario_problem(design, scenario)
     dist = problem.dist0 if symbol == 0 else problem.dist1
@@ -127,25 +130,34 @@ def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
 def simulate(design: SignalDesign, config: TrialConfig) -> TrialReport:
     """Run the trial budget and compare the error estimate to the closed form.
 
+    Each trial draws a symbol, then u, and is decided from the rule's flip
+    points in that symbol's CDF (`_flip_decider`), with no count formed.
     Deterministic: identical (design, config) give a bit-identical report.
     """
     problem, rule = scenario_problem(design, config.scenario)
-    for dist in (problem.dist0, problem.dist1):
-        if abs(dist.probs.sum() - 1.0) > 1e-12:
-            raise NumericalConsistencyError("scenario pmf is not normalized")
-    cdf0 = np.cumsum(problem.dist0.probs)
-    cdf1 = np.cumsum(problem.dist1.probs)
+    accept = np.array([n in rule.accept_set for n in range(problem.M + 1)])
+    decide = _flip_decider(accept,
+                           np.cumsum(problem.dist0.probs), np.cumsum(problem.dist1.probs))
+    return _tally(config, rule, lambda rng, symbols: decide(symbols, rng.random(symbols.size)))
 
-    def draw(rng, symbols):
-        u = rng.random(symbols.size)
-        counts = np.where(
-            symbols == 0,
-            np.searchsorted(cdf0, u, side="right"),
-            np.searchsorted(cdf1, u, side="right"),
-        )
-        return np.clip(counts, 0, problem.M, out=counts)
 
-    return _tally(config, rule, problem.M, draw)
+def _flip_decider(accept: np.ndarray, cdf0: np.ndarray, cdf1: np.ndarray):
+    """decide(symbols, u): accept[count] per trial, where the inverse-CDF count
+    min(#{k : cdf_s[k] <= u}, M) is never formed.
+
+    The cdfs are nondecreasing, so the count exceeds j < M exactly when
+    cdf_s[j] <= u.  The decision is therefore accept[0], flipped once for each
+    flip point j (accept[j] != accept[j + 1]) whose edge cdf_s[j] u has reached.
+    """
+    flips = np.flatnonzero(accept[:-1] != accept[1:])
+    edges = np.stack((cdf0[flips], cdf1[flips]), axis=1)
+
+    def decide(symbols, u):
+        decide1 = np.full(u.size, accept[0])
+        for edge in edges:
+            decide1 ^= u >= edge[symbols]
+        return decide1
+    return decide
 
 
 def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
@@ -158,30 +170,30 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
     ImperfectScenario validates the Poisson(eta mu + nu) model.
     """
     mu1 = 4.0 * design.n_eff
+    rule = p_err_imperfect(design, det)
+    accept = np.array([n in rule.accept_set for n in range(det.M + 1)])
 
-    def draw(rng, symbols):
+    def decide(rng, symbols):
         incident = rng.poisson(np.where(symbols == 1, mu1, 0.0))
         detected = rng.binomial(incident, det.eta) + rng.poisson(det.nu, size=symbols.size)
-        return np.minimum(detected, det.M)
+        return accept[np.minimum(detected, det.M)]
 
     config = TrialConfig(trials=trials, seed=seed, scenario=ImperfectScenario(det))
-    return _tally(config, p_err_imperfect(design, det), det.M, draw)
+    return _tally(config, rule, decide)
 
 
-def _tally(config: TrialConfig, rule: DecisionRule, M: int, draw) -> TrialReport:
-    """Send uniform random symbols shard by shard, count them with
-    draw(rng, symbols), decide with rule, and compare to rule.p_err."""
-    accept = np.zeros(M + 1, dtype=bool)
-    accept[list(rule.accept_set)] = True
-    fa = mi = sent0 = sent1 = 0
+def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
+    """Send uniform random symbols shard by shard, decide each trial with
+    decide(rng, symbols) (True: symbol 1), and compare to rule.p_err."""
+    sent1 = decided1 = hits = 0
     for size, rng in _shards(config.trials, config.seed):
         symbols = rng.integers(0, 2, size=size)
-        counts = draw(rng, symbols)  # kept to the next shard: freeing it early slowed simulate 10%
-        decide1 = accept[counts]
-        sent0 += int(np.sum(symbols == 0))
-        sent1 += int(np.sum(symbols == 1))
-        fa += int(np.sum(decide1 & (symbols == 0)))
-        mi += int(np.sum(~decide1 & (symbols == 1)))
+        decide1 = decide(rng, symbols)
+        sent = symbols == 1
+        sent1 += int(np.count_nonzero(sent))
+        decided1 += int(np.count_nonzero(decide1))
+        hits += int(np.count_nonzero(decide1 & sent))
+    fa, mi, sent0 = decided1 - hits, sent1 - hits, config.trials - sent1
 
     trials = config.trials
     estimate = (fa + mi) / trials
@@ -190,16 +202,7 @@ def _tally(config: TrialConfig, rule: DecisionRule, M: int, draw) -> TrialReport
     reference = rule.p_err
     sigma_ref = math.sqrt(reference * (1.0 - reference) / trials)
     z = (estimate - reference) / sigma_ref if sigma_ref > 0 else 0.0
-    return TrialReport(
-        trials=trials,
-        seed=config.seed,
-        generator=_GENERATOR,
-        p_err_estimate=estimate,
-        std_error=std_error,
-        fa_count=fa,
-        mi_count=mi,
-        sent0=sent0,
-        sent1=sent1,
-        p_err_reference=reference,
-        z_score=z,
-    )
+    return TrialReport(trials=trials, seed=config.seed, generator=_GENERATOR,
+                       p_err_estimate=estimate, std_error=std_error, fa_count=fa,
+                       mi_count=mi, sent0=sent0, sent1=sent1,
+                       p_err_reference=reference, z_score=z)

@@ -171,6 +171,13 @@ def test_scenario_fails_rule():
     assert not scenario_fails(1120, 1_000_000, 1e-3, 3.9)
 
 
+def test_negative_seed_is_a_usage_error_naming_seed(capsys):
+    assert main(["validate", "--seed", "-1", "--trials", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed" in err
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["bounds", "--sweep", "bogus"])
     assert code == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iskennedy import (
     DetectorModel,
@@ -18,7 +20,7 @@ from iskennedy import (
     simulate_physical_imperfect,
 )
 from iskennedy.cli import validation_battery
-from iskennedy.monte_carlo import sample_counts, scenario_problem
+from iskennedy.monte_carlo import _flip_decider, sample_counts, scenario_problem
 
 
 def test_seed_determinism():
@@ -105,6 +107,22 @@ def test_trialconfig_validation():
         TrialConfig(trials=0, seed=1, scenario=IdealScenario())
 
 
+@pytest.mark.parametrize("trials, seed, field", [
+    (1e3, 1, "trials"), ("1000", 1, "trials"), (1000, -1, "seed"), (1000, 1.5, "seed"),
+    (1000, None, "seed"),
+])
+def test_trialconfig_names_the_bad_field(trials, seed, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        TrialConfig(trials=trials, seed=seed, scenario=IdealScenario())
+
+
+def test_trialconfig_accepts_numpy_integers():
+    config = TrialConfig(trials=np.int64(7), seed=np.uint64(3), scenario=IdealScenario())
+    design = design_at_optimal_beta(1.0)
+    assert simulate(design, config) == simulate(
+        design, TrialConfig(trials=7, seed=3, scenario=IdealScenario()))
+
+
 def test_scenario_problem_rule_consistency():
     design = design_at_optimal_beta(1.0)
     for scenario in (IdealScenario(),
@@ -164,3 +182,49 @@ def test_pinned_report_counts(case):
     got = {label: (r["fa_count"], r["mi_count"], r["sent0"], r["sent1"])
            for label, r in reports.items()}
     assert got == {label: pins[case] for label, pins in _PINNED.items()}
+
+
+@st.composite
+def _pmf(draw, M):
+    """A pmf over 0..M with zero entries (ties in its CDF) and a mass within
+    1e-12 of 1 that may leave the last CDF value above or below 1."""
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300, 1e-17, 0.25, 1.0, 3.0]) |
+                                     st.floats(0.0, 1.0), min_size=M + 1, max_size=M + 1)))
+    if not weights.any():
+        weights[draw(st.integers(0, M))] = 1.0
+    pmf = weights / weights.sum()
+    pmf[draw(st.integers(0, M))] += draw(st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13]))
+    return np.clip(pmf, 0.0, 1.0)
+
+
+@st.composite
+def _kernel_case(draw):
+    M = draw(st.integers(1, 12))
+    cdf0, cdf1 = np.cumsum(draw(_pmf(M))), np.cumsum(draw(_pmf(M)))
+    accept = np.array(draw(st.sampled_from([
+        [False] * (M + 1), [True] * (M + 1), [n % 2 == 1 for n in range(M + 1)],
+        [n % 2 == 0 for n in range(M + 1)]]) | st.lists(st.booleans(), min_size=M + 1,
+                                                       max_size=M + 1)))
+    # u on the CDF values, their float neighbours, and the ends of [0, 1).
+    points = np.concatenate((cdf0, cdf1))
+    points = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 2.0),
+                             [0.0, np.nextafter(1.0, 0.0)]))
+    points = points[(points >= 0.0) & (points < 1.0)]
+    u = np.concatenate((points, draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                              max_size=20))))
+    symbols = np.array(draw(st.lists(st.integers(0, 1), min_size=u.size, max_size=u.size)),
+                       dtype=np.int64)
+    return accept, cdf0, cdf1, symbols, u
+
+
+@given(_kernel_case())
+@settings(max_examples=300, deadline=None)
+def test_flip_decisions_equal_the_inverse_cdf_count(case):
+    accept, cdf0, cdf1, symbols, u = case
+    M = accept.size - 1
+    counts = np.where(symbols == 0, np.searchsorted(cdf0, u, "right"),
+                      np.searchsorted(cdf1, u, "right"))
+    expected = accept[np.clip(counts, 0, M)]
+    got = _flip_decider(accept, cdf0, cdf1)(symbols, u)
+    assert got.dtype == bool
+    assert (got == expected).all()
