@@ -145,9 +145,10 @@ def _flip_decider(accept: np.ndarray, cdf0: np.ndarray, cdf1: np.ndarray):
     """decide(symbols, u): accept[count] per trial, where the inverse-CDF count
     min(#{k : cdf_s[k] <= u}, M) is never formed.
 
-    The cdfs are nondecreasing, so the count exceeds j < M exactly when
-    cdf_s[j] <= u.  The decision is therefore accept[0], flipped once for each
-    flip point j (accept[j] != accept[j + 1]) whose edge cdf_s[j] u has reached.
+    The cdfs are cumulative sums of nonnegative pmfs, hence nondecreasing, so
+    the count exceeds j < M exactly when cdf_s[j] <= u.  The decision is
+    therefore accept[0], flipped once for each flip point j
+    (accept[j] != accept[j + 1]) whose edge cdf_s[j] u has reached.
     """
     flips = np.flatnonzero(accept[:-1] != accept[1:])
     edges = np.stack((cdf0[flips], cdf1[flips]), axis=1)

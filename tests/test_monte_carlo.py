@@ -158,7 +158,7 @@ _PINNED = {
     "mismatch dr=0.02 dt=0.03pi M=1 N=1.0": [
         (0, 0, 0, 1), (0, 0, 3, 4), (273, 54, 125056, 124944), (273, 54, 125057, 124944),
         (0, 0, 0, 1), (0, 0, 1, 6), (253, 67, 125200, 124800), (253, 67, 125201, 124800)],
-    # Parity accept set {1, 3, 5, 7, 9, 10}: five flips of the decision.
+    # Parity accept set {1, 3, 5, 7, 9, 10}: nine flips of the decision.
     "parity N=0.05 dr=0.3 dt=0.5 M=10": [
         (0, 0, 0, 1), (0, 4, 2, 5), (1, 104140, 124577, 125423), (1, 104140, 124578, 125423),
         (0, 0, 1, 0), (0, 3, 4, 3), (1, 103776, 124931, 125069), (1, 103777, 124931, 125070)],
