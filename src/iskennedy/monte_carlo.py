@@ -194,9 +194,8 @@ def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
         sent1 += int(np.count_nonzero(sent))
         decided1 += int(np.count_nonzero(decide1))
         hits += int(np.count_nonzero(decide1 & sent))
-    fa, mi, sent0 = decided1 - hits, sent1 - hits, config.trials - sent1
-
     trials = config.trials
+    fa, mi, sent0 = decided1 - hits, sent1 - hits, trials - sent1
     estimate = (fa + mi) / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     # z against the reference p avoids a zero sigma when no errors occur.
