@@ -27,7 +27,6 @@ from .fock_statistics import (
     CountDistribution,
     clamp_to_resolution,
     dss_pmf,
-    hermite_complex,
     poisson_pmf,
     sv_pmf,
 )

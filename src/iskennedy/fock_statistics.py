@@ -130,16 +130,6 @@ def sv_tail_ge(n_min: int, r: float) -> float:
                      r, t2, -0.5 * t2)[1]
 
 
-def hermite_complex(n: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_n(z) by the three-term recurrence."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    h_prev, h = 0.0 + 0.0j, 1.0 + 0.0j
-    for k in range(int(n)):
-        h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
-    return h
-
-
 def _dss_law(A: complex, r: float, theta: float) -> Callable[[int], float]:
     """DSS pmf (r > 0) as one running recurrence: the state (H_{k-1}, H_k,
     log-scale) advances to the largest n asked so far and every value is
@@ -206,20 +196,25 @@ def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], floa
 
 @dataclass(frozen=True)
 class CountDistribution:
-    """Pmf over detector outcomes 0..M, the last bin lumping all counts >= M."""
+    """Pmf over detector outcomes 0..M, the last bin lumping all counts >= M: M + 1
+    values in [-1e-15, 1 + 1e-12] summing left to right to 1 within 1e-12, checked as
+    Python floats in one pass and stored as float64 clipped to [0, 1] (x < 0 reads +0.0)."""
 
     probs: np.ndarray
     M: int
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (self.M + 1,):
-            raise ValueError(f"expected {self.M + 1} probabilities, got shape {p.shape}")
-        if np.any(p < -1e-15) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("probabilities out of [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise NumericalConsistencyError(f"pmf mass {p.sum()!r} != 1")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, 1.0))
+        if getattr(self.probs, "ndim", 1) != 1 or len(self.probs) != self.M + 1:
+            raise ValueError(f"expected {self.M + 1} probabilities, got {np.shape(self.probs)}")
+        mass, clipped = 0.0, []
+        for x in map(float, self.probs):
+            if not -1e-15 <= x <= 1.0 + 1e-12:
+                raise ValueError(f"probability {x!r} out of [0, 1]")
+            mass += x
+            clipped.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+        if abs(mass - 1.0) > 1e-12:
+            raise NumericalConsistencyError(f"pmf mass {mass!r} != 1")
+        object.__setattr__(self, "probs", np.array(clipped))
 
 
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:
@@ -227,12 +222,11 @@ def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistributio
     if M < 1 or M != int(M):
         raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
     M = int(M)
-    probs = np.empty(M + 1)
-    partial = 0.0
+    probs, partial = [], 0.0
     for n in range(M):
-        probs[n] = pmf(n)
+        probs.append(float(pmf(n)))
         partial += probs[n]
     if partial > 1.0 + _MASS_SLACK:
         raise NumericalConsistencyError(f"partial pmf mass {partial} exceeds 1")
-    probs[M] = max(0.0, 1.0 - partial)
+    probs.append(max(0.0, 1.0 - partial))
     return CountDistribution(probs=probs, M=M)

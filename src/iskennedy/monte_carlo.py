@@ -116,11 +116,14 @@ def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
     at M, whose decision `simulate` reads without forming it; mainly for
     checking the sampler's empirical pmf against the analytic one.
     """
+    if symbol not in (0, 1):
+        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
+    config = TrialConfig(trials=trials, seed=seed, scenario=scenario)
     problem, _ = scenario_problem(design, scenario)
     dist = problem.dist0 if symbol == 0 else problem.dist1
     cdf = np.cumsum(dist.probs)
     hist = np.zeros(problem.M + 1, dtype=np.int64)
-    for size, rng in _shards(trials, seed):
+    for size, rng in _shards(config.trials, config.seed):
         counts = np.searchsorted(cdf, rng.random(size), side="right")
         np.clip(counts, 0, problem.M, out=counts)
         hist += np.bincount(counts, minlength=problem.M + 1)

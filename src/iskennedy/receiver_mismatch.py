@@ -127,11 +127,14 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     that of symbol 0; under equal priors the resulting error is
     1 - sum_n max{P(n|0), P(n|1)}/2, the minimum over all labelings.
     """
-    p0 = problem.dist0.probs
-    p1 = problem.dist1.probs
+    p0, p1 = problem.dist0.probs.tolist(), problem.dist1.probs.tolist()
     accept = frozenset(n for n in range(problem.M + 1) if p1[n] >= p0[n])
-    p_fa = float(sum(p0[n] for n in accept))
-    p_mi = float(sum(p1[n] for n in range(problem.M + 1) if n not in accept))
+    p_fa = p_mi = 0.0
+    for n in accept:  # plain loops: sum() compensates floats on Python >= 3.12
+        p_fa += p0[n]
+    for n in range(problem.M + 1):
+        if n not in accept:
+            p_mi += p1[n]
     threshold = None
     if accept == threshold_accept_set(min(accept, default=problem.M + 1), problem.M):
         threshold = min(accept, default=None)

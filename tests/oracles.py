@@ -6,7 +6,9 @@ test.  Squeezing convention: S(z) = exp[(z* a^2 - z a'^2)/2], so S(r)|0>
 with r > 0 squeezes the X = (a + a')/sqrt(2) quadrature.
 
 `detector_composition` is the direct sum over incident, detected-signal and
-dark counts that the detector's thinning matrix is checked against.
+dark counts that the detector's thinning matrix is checked against, and
+`hermite_complex` the plain recurrence whose magnitudes show where the DSS
+law's running recurrence must rescale.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def receiver_output_pmf(alpha: float, r: float, z_receiver: complex, symbol: int
     if symbol == 1:
         state = displacement(2.0 * alpha, dim) @ state
     return fock_pmf(squeeze(z_receiver, dim) @ state)
+
+
+def hermite_complex(n: int, z: complex) -> complex:
+    """Physicists' Hermite polynomial H_n(z) by the three-term recurrence."""
+    if n < 0 or n != int(n):
+        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
+    h_prev, h = 0.0 + 0.0j, 1.0 + 0.0j
+    for k in range(int(n)):
+        h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
+    return h
 
 
 def pmf_mean(pmf: np.ndarray) -> float:

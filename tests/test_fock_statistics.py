@@ -15,7 +15,6 @@ from iskennedy import (
     clamp_to_resolution,
     design_at_optimal_beta,
     dss_pmf,
-    hermite_complex,
     poisson_pmf,
     residual,
     sv_pmf,
@@ -24,7 +23,7 @@ from iskennedy import fock_statistics
 from iskennedy.fock_statistics import (
     photon_pmf, poisson_cdf_below, poisson_tail_ge, sv_tail_ge)
 
-from oracles import pmf_mean, squeezed_displaced_pmf
+from oracles import hermite_complex, pmf_mean, squeezed_displaced_pmf
 
 
 class TestPoisson:
@@ -290,3 +289,103 @@ class TestClampToResolution:
             CountDistribution(probs=np.array([0.5, 0.2]), M=1)
         with pytest.raises(ValueError):
             CountDistribution(probs=np.array([0.5, 0.5]), M=2)
+
+
+def _numpy_stored(probs, M):
+    """What CountDistribution stored when it checked with numpy: asarray,
+    the same range and mass checks, then np.clip."""
+    p = np.asarray(probs, dtype=float)
+    assert p.shape == (M + 1,)
+    assert not (np.any(p < -1e-15) or np.any(p > 1.0 + 1e-12))
+    assert abs(p.sum() - 1.0) <= 1e-12
+    return np.clip(p, 0.0, 1.0)
+
+
+def _numpy_clamp(pmf, M):
+    """clamp_to_resolution as it was when it filled a numpy array."""
+    probs = np.empty(M + 1)
+    partial = 0.0
+    for n in range(M):
+        probs[n] = pmf(n)
+        partial += probs[n]
+    probs[M] = max(0.0, 1.0 - partial)
+    return _numpy_stored(probs, M)
+
+
+_RESOLUTIONS = (1, 2, 3, 10, 40, 200)
+
+# (A, r, theta) for photon_pmf: Poisson below r = 1e-8, squeezed vacuum at
+# A = 0, the DSS law otherwise.
+_LAWS = [(0.0, 0.0, 0.0), (0.03, 0.0, 0.0), (1.2, 1e-9, 0.0), (5.0, 0.0, 0.0),
+         (0.0, 0.02, 0.3), (0.0, 0.8, 0.0), (0.0, 2.0, -1.0),
+         (1.3, 0.4, 0.0), (2.0 + 0.5j, 0.05, 1.1), (0.7 - 1.2j, 1.5, -2.5), (3.0, 0.02, 0.0)]
+
+
+class TestPlainFloatConstruction:
+    """Checking as Python floats stores the same bytes as checking with numpy."""
+
+    @pytest.mark.parametrize("M", _RESOLUTIONS)
+    @pytest.mark.parametrize("law", _LAWS)
+    def test_clamped_laws_match_numpy_construction(self, law, M):
+        new = clamp_to_resolution(photon_pmf(*law), M).probs
+        assert new.tobytes() == _numpy_clamp(photon_pmf(*law), M).tobytes()
+
+    @pytest.mark.parametrize("M", _RESOLUTIONS)
+    def test_detector_outputs_match_numpy_construction(self, M, monkeypatch):
+        from iskennedy import DetectorModel, receiver_imperfect
+        from iskennedy.receiver_imperfect import apply_detector_to_pmf
+
+        given_probs = []
+
+        def recording(probs, M):
+            given_probs.append(np.array(probs))
+            return CountDistribution(probs=probs, M=M)
+
+        monkeypatch.setattr(receiver_imperfect, "CountDistribution", recording)
+        for eta, nu in ((1.0, 0.0), (0.6, 0.0), (0.9, 1e-2), (0.3, 2.0)):
+            for law in ((0.0, 0.3, 0.0), (1.5, 0.2, 0.4), (1.4, 0.0, 0.0)):
+                dist = apply_detector_to_pmf(photon_pmf(*law), DetectorModel(eta, nu, M),
+                                             incident_cutoff=4 * M + 400)
+                assert dist.probs.tobytes() == _numpy_stored(given_probs[-1], M).tobytes()
+
+
+class TestCountDistributionConstruction:
+    def test_tiny_negative_entry_is_stored_as_positive_zero(self):
+        dist = CountDistribution(probs=[1.0, -1e-16], M=1)
+        assert dist.probs[1] == 0.0 and math.copysign(1.0, dist.probs[1]) == 1.0
+
+    def test_entries_just_above_one_are_clipped(self):
+        dist = CountDistribution(probs=(1.0 + 5e-13, 0.0), M=1)
+        assert dist.probs.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("probs", [np.array([[0.5, 0.5]]), np.array([[0.5], [0.5]]),
+                                       np.array(1.0)])
+    def test_rejects_arrays_that_are_not_one_dimensional(self, probs):
+        with pytest.raises(ValueError, match="expected 2 probabilities"):
+            CountDistribution(probs=probs, M=1)
+
+    @pytest.mark.parametrize("probs", [[1.0], (0.5, 0.25, 0.25), np.array([1.0, 0.0, 0.0])])
+    def test_rejects_a_wrong_length(self, probs):
+        with pytest.raises(ValueError, match="expected 2 probabilities"):
+            CountDistribution(probs=probs, M=1)
+
+    @pytest.mark.parametrize("probs", [[0.5, float("nan")], [1.0 + 2e-12, 0.0], [1.0, -2e-15]])
+    def test_rejects_values_out_of_range(self, probs):
+        with pytest.raises(ValueError, match="out of"):
+            CountDistribution(probs=probs, M=1)
+
+    @pytest.mark.parametrize("probs", [
+        [0.25, 0.75], (0.25, 0.75), [0, 1], (True, False), np.array([0.25, 0.75]),
+        np.array([0.25, 0.75], dtype=np.float32), np.array([1, 0]), [np.float64(0.25), 0.75],
+    ])
+    def test_sequences_are_stored_as_one_dimensional_float64(self, probs):
+        dist = CountDistribution(probs=probs, M=1)
+        assert type(dist.probs) is np.ndarray
+        assert dist.probs.dtype == np.float64 and dist.probs.shape == (2,)
+        assert dist.probs.tolist() == [float(x) for x in probs]
+
+    def test_clamped_laws_are_stored_as_one_dimensional_float64(self):
+        for M in _RESOLUTIONS:
+            probs = clamp_to_resolution(photon_pmf(1.3, 0.4), M).probs
+            assert type(probs) is np.ndarray
+            assert probs.dtype == np.float64 and probs.shape == (M + 1,)

@@ -92,6 +92,17 @@ def test_empirical_pmf_total_variation():
     assert tv < 5.0 / math.sqrt(trials)
 
 
+@pytest.mark.parametrize("symbol, trials, seed, message", [
+    (5, 1000, 1, "symbol must be 0 or 1"), (-1, 1000, 1, "symbol must be 0 or 1"),
+    (1, 0, 1, "trials must be an integer"), (1, 1e3, 1, "trials must be an integer"),
+    (0, 1000, -1, "seed must be an integer"), (0, 1000, 1.5, "seed must be an integer"),
+])
+def test_sample_counts_rejects_bad_arguments(symbol, trials, seed, message):
+    scenario = MismatchScenario(MismatchModel(0.02, 0.0), M=3)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sample_counts(design_at_optimal_beta(1.0), scenario, symbol, trials, seed)
+
+
 def test_physical_process_cross_check():
     # Poisson draw + binomial thinning + additive darks must agree with the
     # closed-form Poisson(eta mu + nu) error probability.

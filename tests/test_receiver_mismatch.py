@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iskennedy import (
+    CountDistribution,
     DecisionProblem,
     MismatchModel,
     bogoliubov,
@@ -233,6 +234,13 @@ class TestMapSetDecision:
             for accept in [tuple(n for n in range(M + 1) if bits[n])]
         )
         assert rule.p_err == pytest.approx(best, abs=1e-14)
+
+    def test_rates_are_left_to_right_sums(self):
+        # Compensated summation (builtin sum() on Python >= 3.12) would give 1.0.
+        tenths = CountDistribution(probs=[0.1] * 10 + [0.0], M=10)
+        rule = map_set_decision(DecisionProblem(dist0=tenths, dist1=tenths))
+        assert rule.accept_set == frozenset(range(11))
+        assert rule.p_fa == 0.9999999999999999 and rule.p_mi == 0.0
 
     def test_error_is_max_sum_formula(self):
         d = design_at_optimal_beta(1.2)
