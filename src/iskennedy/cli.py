@@ -17,7 +17,8 @@ validate     Monte Carlo concordance checks; exits 4 when a scenario fails
 
 Output is CSV (RFC-4180, '.' decimal, 17 significant digits) or JSON lines;
 rows are emitted in sweep order, through `emit` as column blocks (see Writer):
-a Wigner grid one x line at a time, other tables up to 256 rows at a time.
+a Wigner grid one x line at a time, other tables up to 256 rows at a time,
+each distinct float formatted once a table.
 Exit codes: 0 ok, 2 usage error, 3 numerical-consistency failure,
 4 validation failure.  Usage errors write nothing: an option the subcommand
 does not take, a sweep variable it cannot vary, a non-finite number or
@@ -79,37 +80,58 @@ def _json_cell(value) -> str:
     return float.__repr__(value + 0.0) if isinstance(value, float) else json.dumps(value)
 
 
+# The most distinct floats a Writer's memo holds; it starts over when full.
+_MEMO_CAP = 1 << 15
+
+
+class _FloatCells(dict):
+    """Float -> its cell, formatted by `cell` on first sight (-0.0 and 0.0
+    share a key and a cell).  A non-finite value raises and is never stored."""
+
+    def __init__(self, cell):
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            raise NumericalConsistencyError
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        cell = self[value] = self.cell(value)
+        return cell
+
+
 class Writer:
     """Streams a table as CSV or JSON lines with stable column order.
 
-    `write_block` takes a column block, {column: list of values}.  It checks
-    each column once for non-finite floats and formats it with one
-    comprehension (CSV: floats to 17 significant digits, None as an empty
-    cell; JSON lines: JSON values, None as null; -0.0 as 0.0 in both), then
-    passes each row's cells to `write`, once per output row.  A one-value
-    column stands for its value on every row of the block, and a column that
-    is the same list object as in the block before reuses its cells.
+    `write_block` takes a column block, {column: list of values}.  It formats
+    each column with one comprehension (CSV: floats to 17 significant digits,
+    None as an empty cell; JSON lines: JSON values, None as null; -0.0 as 0.0
+    in both), raising for a non-finite float before any row of the block is
+    written, and passes each row's cells to `write`, once per output row.  A
+    one-value column stands for its value on every row of the block.  Each
+    distinct float is formatted once per table (memoized, at most _MEMO_CAP
+    at a time); an int, string or None is formatted each time, so 7 never
+    takes the cell of 7.0.
     """
 
     def __init__(self, stream, fieldnames: list[str], kind: str):
         self.stream = stream
         self.fieldnames = fieldnames
         self.kind = kind
-        self._cell = _csv_cell if kind == "csv" else _json_cell
-        self._last: dict[str, tuple[list, list[str]]] = {}
+        self._floats = _FloatCells(_csv_cell if kind == "csv" else _json_cell)
         if kind == "csv":
             stream.write(",".join(fieldnames) + "\n")
         else:
             self._keys = [json.dumps(k) + ": " for k in fieldnames]
 
     def _cells(self, column: str, values: list) -> list[str]:
-        last_values, cells = self._last.get(column, (None, None))
-        if values is not last_values:
-            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-                raise NumericalConsistencyError(f"non-finite metric {column!r} in output block")
-            cells = [self._cell(v) for v in values]
-            self._last[column] = (values, cells)
-        return cells
+        floats, cell = self._floats, self._floats.cell
+        try:
+            return [floats[v] if isinstance(v, float) else cell(v) for v in values]
+        except NumericalConsistencyError:
+            raise NumericalConsistencyError(
+                f"non-finite metric {column!r} in output block") from None
 
     def write_block(self, block: dict) -> None:
         columns = [self._cells(c, block[c]) for c in self.fieldnames]
@@ -410,7 +432,7 @@ def cmd_populations(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    """One block per x line: the x cell is formatted once a line, the p column once."""
+    """One block per x line; the grid's mirror symmetries repeat many cells."""
     if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.pmax - args.pmin)):
         raise argparse.ArgumentTypeError("the grid span overflows a float")
     design = design_for(args.N, args.beta)

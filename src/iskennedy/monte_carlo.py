@@ -108,28 +108,6 @@ def _shards(trials: int, seed: int):
         yield size, np.random.Generator(np.random.PCG64(child))
 
 
-def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
-                  trials: int, seed: int) -> np.ndarray:
-    """Histogram of sampled detector outcomes for one fixed symbol.
-
-    Each count is the inverse-CDF draw searchsorted(cdf, u, "right") clipped
-    at M, whose decision `simulate` reads without forming it; mainly for
-    checking the sampler's empirical pmf against the analytic one.
-    """
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    config = TrialConfig(trials=trials, seed=seed, scenario=scenario)
-    problem, _ = scenario_problem(design, scenario)
-    dist = problem.dist0 if symbol == 0 else problem.dist1
-    cdf = np.cumsum(dist.probs)
-    hist = np.zeros(problem.M + 1, dtype=np.int64)
-    for size, rng in _shards(config.trials, config.seed):
-        counts = np.searchsorted(cdf, rng.random(size), side="right")
-        np.clip(counts, 0, problem.M, out=counts)
-        hist += np.bincount(counts, minlength=problem.M + 1)
-    return hist
-
-
 def simulate(design: SignalDesign, config: TrialConfig) -> TrialReport:
     """Run the trial budget and compare the error estimate to the closed form.
 

@@ -39,15 +39,14 @@ class MismatchModel:
 class ResidualSqueezing:
     """Reduction of transmitter + receiver squeezing to a single operation.
 
-    x, y are the Bogoliubov coefficients of the composite (|x|^2 - |y|^2 = 1),
-    r_m = asinh|y| the residual magnitude, theta_m its phase in (-pi, pi],
-    and vartheta the factored-out rotation angle (photon statistics ignore
-    it).  The symbol-1 output is S(r_m e^{j theta_m}) D(2 gamma)|0> with the
-    matched amplitude gamma = alpha e^r at every mismatch.
+    From the composite's Bogoliubov coefficients x, y (`bogoliubov`,
+    |x|^2 - |y|^2 = 1): r_m = asinh|y| is the residual magnitude, theta_m
+    its phase in (-pi, pi], and vartheta = -arg x the factored-out rotation
+    angle (photon statistics ignore it).  The symbol-1 output is
+    S(r_m e^{j theta_m}) D(2 gamma)|0> with the matched amplitude
+    gamma = alpha e^r at every mismatch.
     """
 
-    x: complex
-    y: complex
     r_m: float
     theta_m: float
     vartheta: float
@@ -84,7 +83,7 @@ def residual(design: SignalDesign, mm: MismatchModel) -> ResidualSqueezing:
     # D(2 alpha) S(r) = S(r) D(2 gamma) for real alpha, and the composite
     # squeezing factors as S(z_s) S(r) = R S(z_m), R a rotation by vartheta,
     # up to a global phase, so the symbol-1 output is R S(z_m) D(2 gamma)|0>.
-    return ResidualSqueezing(x=x, y=y, r_m=r_m, theta_m=theta_m, vartheta=vartheta)
+    return ResidualSqueezing(r_m=r_m, theta_m=theta_m, vartheta=vartheta)
 
 
 def first_order_residual(r: float, mm: MismatchModel) -> tuple[float, float]:

@@ -8,7 +8,9 @@ with r > 0 squeezes the X = (a + a')/sqrt(2) quadrature.
 `detector_composition` is the direct sum over incident, detected-signal and
 dark counts that the detector's thinning matrix is checked against, and
 `hermite_complex` the plain recurrence whose magnitudes show where the DSS
-law's running recurrence must rescale.
+law's running recurrence must rescale.  `sample_counts` is the exception to
+sharing no code: it histograms the Monte Carlo sampler's own inverse-CDF
+draws, so the sampler's empirical pmf can be checked against the law.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from iskennedy.gaussian_states import SignalDesign
+from iskennedy.monte_carlo import Scenario, TrialConfig, _shards, scenario_problem
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -105,3 +110,25 @@ def detector_composition(pmf, eta: float, nu: float, M: int, cutoff: int) -> tup
         if 1.0 - covered < 1e-12:
             break
     return detected + [1.0 - sum(detected)], calls
+
+
+def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
+                  trials: int, seed: int) -> np.ndarray:
+    """Histogram of sampled detector outcomes for one fixed symbol.
+
+    Each count is the inverse-CDF draw searchsorted(cdf, u, "right") clipped
+    at M, whose decision `simulate` reads without forming it; mainly for
+    checking the sampler's empirical pmf against the analytic one.
+    """
+    if symbol not in (0, 1):
+        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
+    config = TrialConfig(trials=trials, seed=seed, scenario=scenario)
+    problem, _ = scenario_problem(design, scenario)
+    dist = problem.dist0 if symbol == 0 else problem.dist1
+    cdf = np.cumsum(dist.probs)
+    hist = np.zeros(problem.M + 1, dtype=np.int64)
+    for size, rng in _shards(config.trials, config.seed):
+        counts = np.searchsorted(cdf, rng.random(size), side="right")
+        np.clip(counts, 0, problem.M, out=counts)
+        hist += np.bincount(counts, minlength=problem.M + 1)
+    return hist

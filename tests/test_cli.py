@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iskennedy import design_at_optimal_beta, make_design, p_err_ideal
 from iskennedy.cli import main, scenario_fails
@@ -406,16 +408,35 @@ def test_build_parser_returns_independent_copies_of_one_parser():
     assert second.parse_args is not None and cli.build_parser().parse_args is not None
 
 
-def test_block_cells_are_formatted_once_per_column(monkeypatch):
+def formatted_floats(monkeypatch, argv):
+    """The parsed CSV table of `argv` and the floats its Writer formatted."""
     import iskennedy.cli as cli
 
     formatted = []
     csv_cell = cli._csv_cell
     monkeypatch.setattr(cli, "_csv_cell", lambda value: formatted.append(value) or csv_cell(value))
-    code, out = run_cli(["wigner", "--points", "3"])
-    assert code == 0 and len(parse_csv(out)) == 9
-    # x once a line (3), p once a table (3), each Wigner cell once (2 x 9)
-    assert len(formatted) == 3 + 3 + 18
+    code, out = run_cli(argv)
+    assert code == 0
+    return parse_csv(out), [v for v in formatted if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--points", "3"],
+    ["wigner", "--N", "0.5", "--points", "8", "--xmin=-2", "--pmax", "3"],
+    ["bounds", "--sweep", "N:0:1:300"],
+])
+def test_each_distinct_float_is_formatted_once_per_table(monkeypatch, argv):
+    rows, formatted = formatted_floats(monkeypatch, argv)
+    floats = {float(cell) for row in rows for cell in row.values() if cell}
+    assert len(formatted) == len(set(formatted)) == len(floats)
+
+
+def test_symbol1_of_the_vacuum_grid_formats_nothing_new(monkeypatch):
+    rows, formatted = formatted_floats(monkeypatch, ["wigner", "--N", "0", "--beta", "0",
+                                                     "--points", "7"])
+    assert len(rows) == 49 and all(r["w_symbol0"] == r["w_symbol1"] for r in rows)
+    without_symbol1 = {float(r[c]) for r in rows for c in ("x", "p", "w_symbol0")}
+    assert len(formatted) == len(without_symbol1)
 
 
 def test_writer_blocks(tmp_path):
@@ -446,6 +467,111 @@ def test_writer_blocks(tmp_path):
     with pytest.raises(NumericalConsistencyError, match="'w'"):
         w.write_block({"x": [0.0, 1.0], "w": [0.5, math.nan]})
     assert out.getvalue() == "x,w\n"
+
+
+def reference_table(fieldnames, blocks, kind) -> str:
+    """A table written one row and one cell at a time, each cell formatted on its own."""
+    def cell(v):
+        if kind == "jsonl":
+            return float.__repr__(v + 0.0) if isinstance(v, float) else json.dumps(v)
+        if isinstance(v, float):
+            return f"{v + 0.0:.17g}"
+        if isinstance(v, str):
+            return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
+        return "" if v is None else str(v)
+
+    text = ",".join(fieldnames) + "\n" if kind == "csv" else ""
+    for block in blocks:
+        rows = max(len(block[c]) for c in fieldnames)
+        for i in range(rows):
+            cells = [cell(block[c][0 if len(block[c]) == 1 else i]) for c in fieldnames]
+            if kind == "csv":
+                text += ",".join(cells) + "\n"
+            else:
+                text += "{" + ", ".join(f"{json.dumps(c)}: {v}"
+                                        for c, v in zip(fieldnames, cells)) + "}\n"
+    return text
+
+
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 7.0, 7, 0, 1.0, 1, True, None, 0.1, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              max_value=1e-307, min_value=-1e-307),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.text(alphabet=',"\n\r ab7.0-', max_size=6),
+)
+
+
+@st.composite
+def writer_tables(draw):
+    """Fieldnames and blocks whose columns share a small pool of values, each
+    block with one-value columns beside full ones."""
+    fieldnames = ["a", "b", "c"]
+    pool = draw(st.lists(_CELL_VALUES, min_size=1, max_size=12))
+    values = st.sampled_from(pool)
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = draw(st.integers(1, 6))
+        blocks.append({c: draw(st.lists(values, min_size=n, max_size=n))
+                       for c in fieldnames
+                       for n in [draw(st.sampled_from([1, rows]))]})
+    return fieldnames, blocks
+
+
+_EDGES = (["a", "b", "c"], [
+    {"a": [-0.0, 7.0, 7, 5e-324], "b": [1e308], "c": [np.float64(-0.0), None, "x,\"y\"\n", 1]},
+    {"a": [0.0], "b": [-1e308, 1e308, True, 1.0], "c": [7, 7.0, np.float64(1e-310), "0"]},
+    {"a": [7, 1.0, -0.0], "b": [0.0, 1, None], "c": [np.float64(7.0)]},
+])
+
+
+@example(table=_EDGES, kind="csv", poison=None)
+@example(table=_EDGES, kind="jsonl", poison=None)
+@example(table=_EDGES, kind="jsonl", poison=(1, "b", 2, math.inf))
+@settings(max_examples=300, deadline=None)
+@given(table=writer_tables(), kind=st.sampled_from(["csv", "jsonl"]),
+       poison=st.none() | st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "c"]),
+                                    st.integers(0, 5),
+                                    st.sampled_from([math.nan, math.inf, -math.inf,
+                                                     np.float64("inf")])))
+def test_writer_matches_a_row_by_row_reference(table, kind, poison):
+    from iskennedy.cli import Writer
+    from iskennedy.errors import NumericalConsistencyError
+
+    fieldnames, blocks = table
+    if poison is not None:
+        at, column, row, bad = poison
+        at = min(at, len(blocks) - 1)
+        cells = list(blocks[at][column])
+        cells[min(row, len(cells) - 1)] = bad
+        blocks = [*blocks[:at], {**blocks[at], column: cells}, *blocks[at + 1:]]
+    out = io.StringIO()
+    w = Writer(out, fieldnames, kind)
+    for i, block in enumerate(blocks):
+        if poison is not None and i == at:
+            with pytest.raises(NumericalConsistencyError, match=repr(column)):
+                w.write_block(block)
+            break
+        w.write_block(block)
+    assert out.getvalue() == reference_table(fieldnames, blocks[:i + (poison is None)], kind)
+
+
+def test_writer_memo_stays_within_its_cap():
+    import iskennedy.cli as cli
+
+    values = [i / 7 for i in range(cli._MEMO_CAP + 1000)]
+    blocks = [{"v": values[i:i + 256], "w": [-v for v in values[i:i + 256]], "k": [3]}
+              for i in range(0, len(values), 256)]
+    for kind in ("csv", "jsonl"):
+        out = io.StringIO()
+        w = cli.Writer(out, ["k", "v", "w"], kind)
+        for block in blocks + blocks[:3]:
+            w.write_block(block)
+            assert len(w._floats) <= cli._MEMO_CAP
+        assert out.getvalue() == reference_table(["k", "v", "w"], blocks + blocks[:3], kind)
 
 
 @pytest.mark.parametrize("words, joined", [

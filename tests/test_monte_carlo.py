@@ -20,7 +20,9 @@ from iskennedy import (
     simulate_physical_imperfect,
 )
 from iskennedy.cli import validation_battery
-from iskennedy.monte_carlo import _flip_decider, sample_counts, scenario_problem
+from iskennedy.monte_carlo import _flip_decider, scenario_problem
+
+from oracles import sample_counts
 
 
 def test_seed_determinism():
