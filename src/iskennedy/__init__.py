@@ -31,11 +31,9 @@ from .fock_statistics import (
     sv_pmf,
 )
 from .gaussian_states import (
-    GaussianState,
     PhaseSpacePoint,
     SignalDesign,
     design_at_optimal_beta,
-    gaussian_state,
     homodyne_pdf,
     make_design,
     optimal_beta,

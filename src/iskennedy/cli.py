@@ -55,7 +55,8 @@ from .gaussian_states import design_at_optimal_beta, make_design, wigner_grid
 from .monte_carlo import IdealScenario, ImperfectScenario, MismatchScenario, TrialConfig, simulate
 from .receiver_ideal import DecisionProblem, p_err_ideal, p_err_kennedy, ratio_to_helstrom
 from .receiver_imperfect import DetectorModel, apply_detector_to_pmf, p_err_imperfect
-from .receiver_mismatch import MismatchModel, map_set_decision, p_err_mismatch, residual
+from .receiver_mismatch import (MismatchModel, map_set_decision, mismatch_count_pmf, mismatch_law,
+                                residual)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -380,18 +381,15 @@ def cmd_thresholds(args) -> int:
 
 def _mismatch_row(a) -> dict:
     design = design_for(a.N, a.beta)
-    mm = MismatchModel(a.delta_r, a.delta_theta)
-    res = residual(design, mm)
+    res = residual(design, MismatchModel(a.delta_r, a.delta_theta))
     if a.eta == 1.0 and a.nu == 0.0:
-        rule = p_err_mismatch(design, mm, a.M)
+        dist0, dist1 = (mismatch_count_pmf(design, res, a.M, s) for s in (0, 1))
     else:
-        # Experimental: push the mismatch pmfs through an (eta, nu) detector.
+        # Experimental: push the mismatch laws through an (eta, nu) detector.
         det = DetectorModel(eta=a.eta, nu=a.nu, M=a.M)
-        dist0, dist1 = (
-            apply_detector_to_pmf(photon_pmf(A, res.r_m, res.theta_m), det,
-                                  incident_cutoff=4 * a.M + 400)
-            for A in (0.0, 2.0 * design.gamma))
-        rule = map_set_decision(DecisionProblem(dist0=dist0, dist1=dist1))
+        dist0, dist1 = (apply_detector_to_pmf(mismatch_law(design, res, s), det,
+                                              incident_cutoff=4 * a.M + 400) for s in (0, 1))
+    rule = map_set_decision(DecisionProblem(dist0=dist0, dist1=dist1))
     return {"N": a.N, "delta_r": a.delta_r, "delta_theta": a.delta_theta, "M": a.M,
             "r_m": res.r_m, "theta_m": res.theta_m, "vartheta": res.vartheta,
             "gamma_m_re": design.gamma, "gamma_m_im": 0.0,
@@ -420,8 +418,7 @@ def _stage_pmfs(design, stage: str, mm: MismatchModel):
     if stage == "nulled":
         return photon_pmf(0.0, r), photon_pmf(2.0 * gamma, r)
     res = residual(design, mm)
-    return (photon_pmf(0.0, res.r_m, res.theta_m),
-            photon_pmf(2.0 * gamma, res.r_m, res.theta_m))
+    return mismatch_law(design, res, 0), mismatch_law(design, res, 1)
 
 
 def cmd_populations(args) -> int:

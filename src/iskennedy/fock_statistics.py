@@ -39,6 +39,14 @@ _POISSON_CUTOFF_R = 1e-8
 _SV_TAIL_TERMS = 100_000
 
 
+def resolution(M) -> int:
+    """A detector resolution as an int; 2.0 reads as 2, and anything but a
+    whole number >= 1 (0, 1.5, NaN, +-inf) raises ValueError."""
+    if not (M >= 1 and math.isfinite(M)) or M != int(M):
+        raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
+    return int(M)
+
+
 def _count(n) -> int:
     if n < 0 or n != int(n):
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
@@ -219,9 +227,7 @@ class CountDistribution:
 
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:
     """Truncate an unbounded pmf to resolution M, lumping the tail into bin M."""
-    if M < 1 or M != int(M):
-        raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
-    M = int(M)
+    M = resolution(M)
     probs, partial = [], 0.0
     for n in range(M):
         probs.append(float(pmf(n)))

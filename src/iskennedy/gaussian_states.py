@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SignalDesign:
@@ -53,30 +51,6 @@ class PhaseSpacePoint:
             raise ValueError("phase-space coordinates must be finite")
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """First and second moments of a single-mode Gaussian state.
-
-    d is the (2,) displacement vector (<X>, <P>); V is the 2x2 symmetric
-    covariance matrix.  For the pure states of this package det V = 1/4.
-    """
-
-    d: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        if d.shape != (2,) or V.shape != (2, 2):
-            raise ValueError("expected shapes d=(2,), V=(2,2)")
-        if not np.allclose(V, V.T, rtol=0.0, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-        if np.linalg.det(V) <= 0 or V[0, 0] <= 0:
-            raise ValueError("covariance matrix must be positive definite")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "V", V)
-
-
 def _mean_x(design: SignalDesign, symbol: int) -> float:
     """<X> of the symbol state, -/+ sqrt(2) alpha for symbol 0/1."""
     if symbol not in (0, 1):
@@ -105,13 +79,6 @@ def make_design(N: float, beta: float) -> SignalDesign:
 
 def design_at_optimal_beta(N: float) -> SignalDesign:
     return make_design(N, optimal_beta(N))
-
-
-def gaussian_state(design: SignalDesign, symbol: int) -> GaussianState:
-    """Moments of the symbol state: d = (+/- sqrt(2) alpha, 0), V = diag(e^-2r, e^2r)/2."""
-    d = np.array([_mean_x(design, symbol), 0.0])
-    V = np.diag([0.5 * math.exp(-2.0 * design.r), 0.5 * math.exp(2.0 * design.r)])
-    return GaussianState(d=d, V=V)
 
 
 def wigner_dss(point: PhaseSpacePoint, design: SignalDesign, symbol: int) -> float:

@@ -26,13 +26,12 @@ from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_count_p
 
 _GENERATOR = "PCG64"
 _SHARD_SIZE = 250_000
+_IDEAL_M = 40
 
 
 @dataclass(frozen=True)
 class IdealScenario:
-    """Perfect receiver; M only truncates the simulated outcome space."""
-
-    M: int = 40
+    """Perfect receiver; _IDEAL_M only truncates the simulated outcome space."""
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,9 @@ class TrialReport:
 def scenario_problem(design: SignalDesign, scenario: Scenario) -> tuple[DecisionProblem, DecisionRule]:
     """Exact conditional pmfs and the receiver's decision rule for a scenario."""
     if isinstance(scenario, IdealScenario):
-        problem = DecisionProblem(dist0=ideal_count_pmf(design, 0, scenario.M),
-                                  dist1=ideal_count_pmf(design, 1, scenario.M))
-        return problem, ideal_decision(design, scenario.M)
+        problem = DecisionProblem(dist0=ideal_count_pmf(design, 0, _IDEAL_M),
+                                  dist1=ideal_count_pmf(design, 1, _IDEAL_M))
+        return problem, ideal_decision(design, _IDEAL_M)
     if isinstance(scenario, ImperfectScenario):
         problem = DecisionProblem(dist0=detected_count_pmf(design, scenario.det, 0),
                                   dist1=detected_count_pmf(design, scenario.det, 1))

@@ -20,6 +20,7 @@ from .fock_statistics import (
     poisson_cdf_below,
     poisson_pmf,
     poisson_tail_ge,
+    resolution,
 )
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
@@ -27,6 +28,11 @@ from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
 # Below this dark rate the threshold formula's denominator blows up and the
 # rule is plain on-off detection.
 _NU_ONOFF_CUTOFF = 1e-12
+
+
+def _check_nu(nu: float) -> None:
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +49,8 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if self.M < 1 or self.M != int(self.M):
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        _check_nu(self.nu)
+        object.__setattr__(self, "M", resolution(self.M))
 
 
 def detected_count_pmf(design: SignalDesign, det: DetectorModel, symbol: int) -> CountDistribution:
@@ -88,10 +92,8 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
 
 def saturation_floor(M: int, nu: float) -> float:
     """High-energy error floor nu^M / (2 M!)."""
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    if M < 1 or M != int(M):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    _check_nu(nu)
+    M = resolution(M)
     if nu == 0.0:
         return 0.0
     return 0.5 * math.exp(M * math.log(nu) - math.lgamma(M + 1))
@@ -99,11 +101,8 @@ def saturation_floor(M: int, nu: float) -> float:
 
 def exact_saturation_floor(M: int, nu: float) -> float:
     """Exact high-energy limit: half the dark-count tail P(n >= M; nu)."""
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    if M < 1 or M != int(M):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    return 0.5 * poisson_tail_ge(M, nu)
+    _check_nu(nu)
+    return 0.5 * poisson_tail_ge(resolution(M), nu)
 
 
 def apply_detector_to_pmf(pmf, det: DetectorModel, incident_cutoff: int | None = None) -> CountDistribution:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .fock_statistics import CountDistribution, clamp_to_resolution, photon_pmf, sv_tail_ge
+from .fock_statistics import (CountDistribution, clamp_to_resolution, photon_pmf, resolution,
+                              sv_tail_ge)
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
 
@@ -106,9 +108,9 @@ def first_order_residual(r: float, mm: MismatchModel) -> tuple[float, float]:
     return r_m, _wrap_angle(theta_m)
 
 
-def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
-                       symbol: int) -> CountDistribution:
-    """Count statistics under residual squeezing, truncated to resolution M.
+def mismatch_law(design: SignalDesign, res: ResidualSqueezing,
+                 symbol: int) -> Callable[[int], float]:
+    """Unbounded photon pmf n -> P(n | symbol) behind the mismatched receiver.
 
     Symbol 0 sees S(r_m e^{j theta_m})|0>, symbol 1 S(r_m e^{j theta_m})
     D(2 gamma)|0> (see ResidualSqueezing).  At negligible r_m both collapse
@@ -116,7 +118,13 @@ def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
     """
     if symbol not in (0, 1):
         raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    return clamp_to_resolution(photon_pmf(2.0 * design.gamma * symbol, res.r_m, res.theta_m), M)
+    return photon_pmf(2.0 * design.gamma * symbol, res.r_m, res.theta_m)
+
+
+def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
+                       symbol: int) -> CountDistribution:
+    """Count statistics under residual squeezing (mismatch_law), truncated to resolution M."""
+    return clamp_to_resolution(mismatch_law(design, res, symbol), M)
 
 
 def map_set_decision(problem: DecisionProblem) -> DecisionRule:
@@ -162,9 +170,7 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
     n_min = 2 ceil(M/2) and
     P_sat ~ (1/2) n_min! / (2^{n_min} ((n_min/2)!)^2) dr^{n_min}.
     """
-    if M < 1 or M != int(M):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    n_min = 2 * math.ceil(M / 2)
+    n_min = 2 * math.ceil(resolution(M) / 2)
     k = n_min // 2
     log_coef = math.lgamma(n_min + 1) - n_min * math.log(2.0) - 2.0 * math.lgamma(k + 1)
     return 0.5 * math.exp(log_coef) * abs(delta_r) ** n_min
@@ -173,9 +179,7 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
 def exact_parity_floor(M: int, r_m: float) -> float:
     """High-energy limit of the mismatch error: half the squeezed-vacuum tail
     over counts >= M (only even terms contribute)."""
-    if M < 1 or M != int(M):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    return 0.5 * sv_tail_ge(M, r_m)
+    return 0.5 * sv_tail_ge(resolution(M), r_m)
 
 
 def p_err_mismatch(design: SignalDesign, mm: MismatchModel, M: int) -> DecisionRule:

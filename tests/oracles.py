@@ -8,7 +8,8 @@ with r > 0 squeezes the X = (a + a')/sqrt(2) quadrature.
 `detector_composition` is the direct sum over incident, detected-signal and
 dark counts that the detector's thinning matrix is checked against, and
 `hermite_complex` the plain recurrence whose magnitudes show where the DSS
-law's running recurrence must rescale.  `sample_counts` is the exception to
+law's running recurrence must rescale.  `GaussianState` holds the first and
+second moments of a symbol state.  `sample_counts` is the exception to
 sharing no code: it histograms the Monte Carlo sampler's own inverse-CDF
 draws, so the sampler's empirical pmf can be checked against the law.
 """
@@ -16,6 +17,7 @@ draws, so the sampler's empirical pmf can be checked against the law.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -132,3 +134,36 @@ def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
         np.clip(counts, 0, problem.M, out=counts)
         hist += np.bincount(counts, minlength=problem.M + 1)
     return hist
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """First and second moments of a single-mode Gaussian state.
+
+    d is the (2,) displacement vector (<X>, <P>); V is the 2x2 symmetric
+    covariance matrix.  For the pure states of this package det V = 1/4.
+    """
+
+    d: np.ndarray
+    V: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.d, dtype=float)
+        V = np.asarray(self.V, dtype=float)
+        if d.shape != (2,) or V.shape != (2, 2):
+            raise ValueError("expected shapes d=(2,), V=(2,2)")
+        if not np.allclose(V, V.T, rtol=0.0, atol=1e-12):
+            raise ValueError("covariance matrix must be symmetric")
+        if np.linalg.det(V) <= 0 or V[0, 0] <= 0:
+            raise ValueError("covariance matrix must be positive definite")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "V", V)
+
+
+def gaussian_state(design: SignalDesign, symbol: int) -> GaussianState:
+    """Moments of the symbol state: d = (+/- sqrt(2) alpha, 0), V = diag(e^-2r, e^2r)/2."""
+    if symbol not in (0, 1):
+        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
+    d = np.array([(1.0 if symbol == 1 else -1.0) * math.sqrt(2.0) * design.alpha, 0.0])
+    V = np.diag([0.5 * math.exp(-2.0 * design.r), 0.5 * math.exp(2.0 * design.r)])
+    return GaussianState(d=d, V=V)

@@ -1,5 +1,7 @@
 import cmath
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
@@ -343,6 +345,16 @@ def test_runtime_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=env, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["gaussian_states", "benchmarks", "receiver_ideal",
+                                  "receiver_mismatch"])
+def test_scalar_modules_hold_no_numpy(name):
+    module = importlib.import_module("iskennedy." + name)
+    held = [key for key, value in vars(module).items()
+            if (value.__name__ if inspect.ismodule(value) else
+                getattr(value, "__module__", None) or "").partition(".")[0] == "numpy"]
+    assert held == []
 
 
 def test_thresholds_is_detector_with_two_columns():

@@ -10,13 +10,19 @@ from scipy.stats import poisson as scipy_poisson
 from iskennedy import (
     CountDistribution,
     DegenerateSqueezingError,
+    DetectorModel,
     MismatchModel,
     NumericalConsistencyError,
     clamp_to_resolution,
     design_at_optimal_beta,
     dss_pmf,
+    exact_parity_floor,
+    exact_saturation_floor,
+    p_err_imperfect,
+    parity_saturation_floor,
     poisson_pmf,
     residual,
+    saturation_floor,
     sv_pmf,
 )
 from iskennedy import fock_statistics
@@ -252,6 +258,27 @@ class TestRunningDssLaw:
                 law(n)
 
 
+def _clamped(M):
+    dist = clamp_to_resolution(lambda n: poisson_pmf(n, 0.7), M)
+    return dist.M, dist.probs.tobytes()
+
+
+def _detector_rule(M):
+    det = DetectorModel(1.0, 1e-2, M)
+    return det, p_err_imperfect(design_at_optimal_beta(1.0), det)
+
+
+# Every entry point that takes a detector resolution: M -> what it gives.
+RESOLUTION_ENTRY_POINTS = {
+    "clamp_to_resolution": _clamped,
+    "DetectorModel": _detector_rule,
+    "saturation_floor": lambda M: saturation_floor(M, 1e-2),
+    "exact_saturation_floor": lambda M: exact_saturation_floor(M, 1e-2),
+    "parity_saturation_floor": lambda M: parity_saturation_floor(M, 0.02),
+    "exact_parity_floor": lambda M: exact_parity_floor(M, 0.02),
+}
+
+
 class TestClampToResolution:
     def test_zero_mean_poisson(self):
         dist = clamp_to_resolution(lambda n: poisson_pmf(n, 0.0), 3)
@@ -273,6 +300,14 @@ class TestClampToResolution:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             clamp_to_resolution(lambda n: poisson_pmf(n, 1.0), 0)
+
+    @pytest.mark.parametrize("entry", sorted(RESOLUTION_ENTRY_POINTS))
+    def test_resolution_is_checked_alike_everywhere(self, entry):
+        at = RESOLUTION_ENTRY_POINTS[entry]
+        assert repr(at(2.0)) == repr(at(2))
+        for M in (0, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                at(M)
 
     @given(st.floats(min_value=0.0, max_value=30.0), st.integers(min_value=1, max_value=40))
     @settings(max_examples=60, deadline=None)

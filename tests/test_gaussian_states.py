@@ -8,16 +8,16 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erfc
 
 from iskennedy import (
-    GaussianState,
     PhaseSpacePoint,
     design_at_optimal_beta,
-    gaussian_state,
     homodyne_pdf,
     make_design,
     optimal_beta,
     wigner_dss,
     wigner_grid,
 )
+
+from oracles import GaussianState, gaussian_state
 
 
 class TestOptimalBeta:

@@ -38,6 +38,13 @@ class TestDetectorModel:
         with pytest.raises(ValueError):
             DetectorModel(eta=eta, nu=nu, M=M)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_dark_rate_is_rejected(self, nu):
+        for model in (lambda: DetectorModel(1.0, nu, 1), lambda: saturation_floor(1, nu),
+                      lambda: exact_saturation_floor(1, nu)):
+            with pytest.raises(ValueError, match="nu must be finite"):
+                model()
+
 
 class TestDetectedCountPmf:
     def test_dark_free_symbol0(self):
