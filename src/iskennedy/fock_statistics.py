@@ -10,15 +10,21 @@ S(r e^{j theta}) D(alpha_c) |0>; its n = 0 element is the vacuum overlap
 (1/cosh r) exp(-|a|^2 + Re[e^{-j theta} a^2] tanh r), and the Hermite
 argument alpha_c e^{-j theta/2} / sqrt(sinh 2r) is the unique scaling for
 which the distribution is normalized (checked against an independent
-Fock-space oracle in the test suite).  One law runs one Hermite recurrence
-and keeps its values, so its first n values cost O(n), not O(n^2).
+Fock-space oracle in the test suite).  photon_pmf shares one law per
+argument triple (A, r, theta), holding the last _LAW_CAP = 8.  A law computes
+each value once, in order of n, and keeps those up to the largest n read (at
+most 100,001 through apply_detector_to_pmf without a cutoff); extending a law
+holds its own lock, so laws are safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,6 +44,9 @@ _POISSON_CUTOFF_R = 1e-8
 # Terms a direct upper-tail sum may take before it gives up.
 _SV_TAIL_TERMS = 100_000
 
+# Laws photon_pmf keeps: room for the two symbol laws of a few operating points.
+_LAW_CAP = 8
+
 
 def resolution(M) -> int:
     """A detector resolution as an int; 2.0 reads as 2, and anything but a
@@ -48,9 +57,10 @@ def resolution(M) -> int:
 
 
 def _count(n) -> int:
-    if n < 0 or n != int(n):
+    k = int(n) if 0 <= n < math.inf else -1
+    if k < 0 or k != n:
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    return int(n)
+    return k
 
 
 def poisson_pmf(n: int, mu: float) -> float:
@@ -113,22 +123,26 @@ def sv_pmf(n: int, r: float) -> float:
     if r < 0:
         raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
     n = _count(n)
-    if n % 2 == 1:
-        return 0.0
-    if r == 0.0:
+    if n % 2 == 1 or r == 0.0:
         return 1.0 if n == 0 else 0.0
-    k = n // 2
-    if k == 0:
+    if n == 0:
         return 1.0 / math.cosh(r)
-    log_t = math.log(math.tanh(r))
-    log_p = (
-        math.lgamma(2 * k + 1)
-        - 2 * k * math.log(2.0)
-        - 2 * math.lgamma(k + 1)
-        + 2 * k * log_t
-        - math.log(math.cosh(r))
-    )
-    return math.exp(log_p)
+    return _sv_term(n // 2, math.log(math.tanh(r)), math.log(math.cosh(r)))
+
+
+def _sv_term(k: int, log_t: float, log_cosh: float) -> float:
+    """Squeezed-vacuum P(2k), k >= 1, from log tanh r and log cosh r."""
+    return math.exp(math.lgamma(2 * k + 1) - 2 * k * math.log(2.0) - 2 * math.lgamma(k + 1)
+                    + 2 * k * log_t - log_cosh)
+
+
+def _sv_values(r: float) -> Iterator[float]:
+    """Squeezed-vacuum pmf (r > 0) for n = 0, 1, ..., the logs taken once."""
+    yield 1.0 / math.cosh(r)
+    log_t, log_cosh = math.log(math.tanh(r)), math.log(math.cosh(r))
+    for k in count(1):
+        yield 0.0
+        yield _sv_term(k, log_t, log_cosh)
 
 
 def sv_tail_ge(n_min: int, r: float) -> float:
@@ -138,10 +152,8 @@ def sv_tail_ge(n_min: int, r: float) -> float:
                      r, t2, -0.5 * t2)[1]
 
 
-def _dss_law(A: complex, r: float, theta: float) -> Callable[[int], float]:
-    """DSS pmf (r > 0) as one running recurrence: the state (H_{k-1}, H_k,
-    log-scale) advances to the largest n asked so far and every value is
-    kept, so the first n values cost O(n) in all, read in any order."""
+def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
+    """DSS pmf (r > 0) for n = 0, 1, ...: one Hermite recurrence on (H_{n-1}, H_n, log-scale)."""
     A = complex(A)
     t = math.tanh(r)
     two_z = 2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r)))
@@ -149,26 +161,34 @@ def _dss_law(A: complex, r: float, theta: float) -> Callable[[int], float]:
     log_cosh = math.log(math.cosh(r))
     abs2 = abs(A) ** 2
     quad = (np.exp(-1j * theta) * A * A).real * t
-    probs: list[float] = []
     h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+    for k in count():
+        if k:
+            h_prev, h = h, two_z * h - 2.0 * (k - 1) * h_prev
+            m = max(abs(h), abs(h_prev))
+            if m > _RESCALE_AT:
+                h /= m
+                h_prev /= m
+                log_scale += math.log(m)
+        if h == 0:
+            yield 0.0
+            continue
+        log_p = (k * log_half_t - math.lgamma(k + 1) - log_cosh
+                 + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
+        yield math.exp(log_p) if log_p < 0 else float(np.exp(log_p))
 
-    def law(n: int) -> float:
-        nonlocal h_prev, h, log_scale
+
+def _kept(values: Iterator[float]) -> Callable[[int], float]:
+    """n -> the n-th of `values`, each computed once and kept.  A read past the
+    end advances `values` under the law's own lock; a warm read only checks n."""
+    probs, lock = [], threading.Lock()
+
+    def law(n) -> float:
         n = _count(n)
-        for k in range(len(probs), n + 1):
-            if k:
-                h_prev, h = h, two_z * h - 2.0 * (k - 1) * h_prev
-                m = max(abs(h), abs(h_prev))
-                if m > _RESCALE_AT:
-                    h /= m
-                    h_prev /= m
-                    log_scale += math.log(m)
-            if h == 0:
-                probs.append(0.0)
-                continue
-            log_p = (k * log_half_t - math.lgamma(k + 1) - log_cosh
-                     + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
-            probs.append(math.exp(log_p) if log_p < 0 else float(np.exp(log_p)))
+        if n >= len(probs):
+            with lock:
+                while len(probs) <= n:
+                    probs.append(next(values))
         return probs[n]
 
     return law
@@ -184,22 +204,25 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
         raise DegenerateSqueezingError(
             f"dss_pmf requires r > 0 (got {r}); use poisson_pmf(|alpha_c|^2) instead"
         )
-    return _dss_law(alpha_c, r, theta)(n)
+    return _kept(_dss_values(alpha_c, r, theta))(n)
+
+
+@functools.lru_cache(maxsize=_LAW_CAP)
+def _law(A: complex, r: float, theta: float) -> Callable[[int], float]:
+    """Kept law of S(r e^{j theta}) D(A)|0>: Poisson of mean |A|^2 below r = 1e-8,
+    the squeezed vacuum at A = 0, else the DSS law.  _law.__wrapped__ builds anew."""
+    if r < _POISSON_CUTOFF_R:
+        mu = abs(A) ** 2
+        return _kept(poisson_pmf(n, mu) for n in count())
+    if A == 0:
+        return _kept(_sv_values(r))
+    return _kept(_dss_values(A, r, theta))
 
 
 def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], float]:
-    """Photon pmf n -> P(n) of S(r e^{j theta}) D(A)|0>.
-
-    The one place that picks the law: Poisson of mean |A|^2 below
-    r = 1e-8, the squeezed vacuum at A = 0, the displaced-squeezed law
-    (one running recurrence) otherwise.
-    """
-    if r < _POISSON_CUTOFF_R:
-        mu = abs(A) ** 2
-        return lambda n: poisson_pmf(n, mu)
-    if A == 0:
-        return lambda n: sv_pmf(n, r)
-    return _dss_law(A, r, theta)
+    """Photon pmf n -> P(n) of S(r e^{j theta}) D(A)|0> (see _law); equal arguments,
+    however spelled (0, -0.0, complex(x, -0.0), np.float64), share one kept law."""
+    return _law(complex(A), float(r), float(theta))
 
 
 @dataclass(frozen=True)
@@ -212,6 +235,7 @@ class CountDistribution:
     M: int
 
     def __post_init__(self):
+        object.__setattr__(self, "M", resolution(self.M))
         if getattr(self.probs, "ndim", 1) != 1 or len(self.probs) != self.M + 1:
             raise ValueError(f"expected {self.M + 1} probabilities, got {np.shape(self.probs)}")
         mass, clipped = 0.0, []
@@ -228,10 +252,11 @@ class CountDistribution:
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:
     """Truncate an unbounded pmf to resolution M, lumping the tail into bin M."""
     M = resolution(M)
-    probs, partial = [], 0.0
-    for n in range(M):
-        probs.append(float(pmf(n)))
-        partial += probs[n]
+    # Read from n = M - 1 down, so that a kept law computes its head in one pass.
+    probs = list(map(pmf, range(M - 1, -1, -1)))[::-1]
+    partial = 0.0
+    for p in probs:
+        partial += p
     if partial > 1.0 + _MASS_SLACK:
         raise NumericalConsistencyError(f"partial pmf mass {partial} exceeds 1")
     probs.append(max(0.0, 1.0 - partial))

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -258,6 +261,116 @@ class TestRunningDssLaw:
                 law(n)
 
 
+_BAD_COUNTS = (-1, 1.5, math.nan, math.inf, -math.inf)
+
+# Every law entry point: name -> a function of n, built anew for each test.
+_LAW_ENTRY_POINTS = {
+    "poisson_pmf": lambda: lambda n: poisson_pmf(n, 1.3),
+    "sv_pmf": lambda: lambda n: sv_pmf(n, 0.4),
+    "dss_pmf": lambda: lambda n: dss_pmf(n, 1.2 - 0.3j, 0.4, 0.5),
+    "photon_pmf Poisson": lambda: fock_statistics._law.__wrapped__(1.2, 0.0, 0.0),
+    "photon_pmf squeezed vacuum": lambda: fock_statistics._law.__wrapped__(0.0, 0.4, 0.0),
+    "photon_pmf DSS": lambda: fock_statistics._law.__wrapped__(1.2 - 0.3j, 0.4, 0.5),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("entry", sorted(_LAW_ENTRY_POINTS))
+def test_every_law_rejects_bad_counts(entry, warm):
+    pmf = _LAW_ENTRY_POINTS[entry]()
+    if warm:
+        last = pmf(40)
+        assert pmf(40) == last
+    for n in _BAD_COUNTS:
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            pmf(n)
+
+
+def _spellings(x, as_complex=False):
+    """Equal spellings of the real number x, also as complex numbers if asked."""
+    out = [x, np.float64(x)] + ([complex(x, 0.0), complex(x, -0.0)] if as_complex else [])
+    return out + ([0, -0.0] if x == 0 else [])
+
+
+class TestKeptLaws:
+    """photon_pmf shares one kept law per argument triple, under a cap."""
+
+    @given(st.sampled_from(["poisson", "sv", "dss"]), st.floats(-6.0, 6.0),
+           st.floats(1e-8, 3.0), st.floats(-math.pi, math.pi), st.integers(0, 5),
+           st.lists(st.tuples(st.integers(0, 1), st.integers(0, 440)), min_size=1, max_size=12),
+           st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    @example("sv", 0.0, 1e-8, 0.0, 0, [(0, 440), (1, 0), (0, 439)], [4, 5, 1, 3, 0, 2])
+    @example("poisson", 2.0, 0.0, 0.0, 0, [(1, 30), (0, 31), (1, 0)], [2, 3, 1, 0, 5, 4])
+    @example("dss", 3.0, 2.5, 0.0, 1, [(0, 440), (1, 7), (0, 120)], [0, 4, 3, 2, 1, 5])
+    @settings(max_examples=80, deadline=None)
+    def test_shared_values_equal_fresh_builds(self, branch, a, r, theta, theta_spelling,
+                                              reads, picks):
+        if branch == "sv":
+            a = 0.0
+        elif branch == "poisson":
+            r = 0.0 if r > 2.9 else r * 0.99e-8 / 3.0
+        assume(branch != "dss" or a != 0)
+        if theta_spelling == 0:
+            theta = 0.0
+        As, rs, thetas = _spellings(a, as_complex=True), _spellings(r), _spellings(theta)
+        args = [(As[picks[i] % len(As)], rs[picks[2 + i] % len(rs)],
+                 thetas[picks[4 + i] % len(thetas)]) for i in (0, 1)]
+        fock_statistics._law.cache_clear()
+        callers = [photon_pmf(*arg) for arg in args]
+        assert callers[0] is callers[1]
+        fresh = [fock_statistics._law.__wrapped__(*arg) for arg in args]
+        for who, n in reads:
+            value = callers[who](n)
+            assert value == fresh[0](n) == fresh[1](n)
+            if branch == "poisson":
+                assert value == poisson_pmf(n, abs(a) ** 2)
+            elif branch == "sv":
+                assert value == sv_pmf(n, r)
+            else:
+                assert value == dss_pmf(n, a, r, theta)
+        assert fock_statistics._law.cache_info().currsize <= fock_statistics._LAW_CAP
+
+    def test_cache_holds_at_most_its_cap(self):
+        fock_statistics._law.cache_clear()
+        for i in range(3 * fock_statistics._LAW_CAP):
+            photon_pmf(0.1 * i, 0.3, 0.0)(5)
+            assert fock_statistics._law.cache_info().currsize == min(
+                i + 1, fock_statistics._LAW_CAP)
+
+    def test_threads_read_shared_laws_as_one_thread_does(self):
+        args = [(1.7 + 0.4j, 0.3, 0.8), (0.0, 0.9, 0.0)]
+        want = [[fock_statistics._law.__wrapped__(*arg)(n) for n in range(441)] for arg in args]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(10):
+                fock_statistics._law.cache_clear()
+                laws = [photon_pmf(*arg) for arg in args]
+                start = threading.Barrier(4)
+                got, errors = [], []
+
+                def read(seed):
+                    order = list(range(441))
+                    random.Random(seed).shuffle(order)
+                    start.wait()
+                    try:
+                        for n in order:
+                            got.extend((i, n, law(n)) for i, law in enumerate(laws))
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read, args=(100 * rnd + k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert errors == []
+                assert len(got) == 4 * 2 * 441
+                assert all(value == want[i][n] for i, n, value in got)
+        finally:
+            sys.setswitchinterval(switch)
+
+
 def _clamped(M):
     dist = clamp_to_resolution(lambda n: poisson_pmf(n, 0.7), M)
     return dist.M, dist.probs.tobytes()
@@ -276,6 +389,7 @@ RESOLUTION_ENTRY_POINTS = {
     "exact_saturation_floor": lambda M: exact_saturation_floor(M, 1e-2),
     "parity_saturation_floor": lambda M: parity_saturation_floor(M, 0.02),
     "exact_parity_floor": lambda M: exact_parity_floor(M, 0.02),
+    "CountDistribution": lambda M: CountDistribution([0.5, 0.25, 0.25], M),
 }
 
 
@@ -385,6 +499,15 @@ class TestPlainFloatConstruction:
 
 
 class TestCountDistributionConstruction:
+    def test_whole_float_resolution_reads_as_int(self):
+        from iskennedy import DecisionProblem, map_set_decision
+
+        dists = [CountDistribution(p, 2.0) for p in ([0.5, 0.25, 0.25], [0.25, 0.25, 0.5])]
+        assert type(dists[0].M) is int
+        rule = map_set_decision(DecisionProblem(*dists))
+        assert rule == map_set_decision(DecisionProblem(
+            *(CountDistribution(d.probs, 2) for d in dists)))
+
     def test_tiny_negative_entry_is_stored_as_positive_zero(self):
         dist = CountDistribution(probs=[1.0, -1e-16], M=1)
         assert dist.probs[1] == 0.0 and math.copysign(1.0, dist.probs[1]) == 1.0
