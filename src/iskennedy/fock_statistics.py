@@ -23,7 +23,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -51,13 +51,14 @@ _LAW_CAP = 8
 def resolution(M) -> int:
     """A detector resolution as an int; 2.0 reads as 2, and anything but a
     whole number >= 1 (0, 1.5, NaN, +-inf) raises ValueError."""
-    if not (M >= 1 and math.isfinite(M)) or M != int(M):
+    k = M if M.__class__ is int else int(M) if 1 <= M < math.inf else 0
+    if k < 1 or k != M:
         raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
-    return int(M)
+    return k
 
 
 def _count(n) -> int:
-    k = int(n) if 0 <= n < math.inf else -1
+    k = n if n.__class__ is int else int(n) if 0 <= n < math.inf else -1
     if k < 0 or k != n:
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
     return k
@@ -187,8 +188,7 @@ def _kept(values: Iterator[float]) -> Callable[[int], float]:
         n = _count(n)
         if n >= len(probs):
             with lock:
-                while len(probs) <= n:
-                    probs.append(next(values))
+                probs.extend(islice(values, max(0, n + 1 - len(probs))))
         return probs[n]
 
     return law

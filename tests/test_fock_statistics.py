@@ -346,7 +346,7 @@ class TestKeptLaws:
             for rnd in range(10):
                 fock_statistics._law.cache_clear()
                 laws = [photon_pmf(*arg) for arg in args]
-                start = threading.Barrier(4)
+                start = threading.Barrier(4, timeout=60)
                 got, errors = [], []
 
                 def read(seed):
@@ -363,7 +363,8 @@ class TestKeptLaws:
                 for t in threads:
                     t.start()
                 for t in threads:
-                    t.join()
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
                 assert errors == []
                 assert len(got) == 4 * 2 * 441
                 assert all(value == want[i][n] for i, n, value in got)
