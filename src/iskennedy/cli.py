@@ -46,8 +46,6 @@ import sys
 from contextlib import nullcontext
 from typing import NamedTuple
 
-import numpy as np
-
 from . import benchmarks
 from .errors import NumericalConsistencyError
 from .fock_statistics import photon_pmf, poisson_cdf_below, poisson_tail_ge
@@ -166,9 +164,19 @@ def at_least(low: int):
     return integer
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num).tolist() bit for bit, num >= 1: i*step + start, or
+    i/(num-1)*delta + start where the step is zero or underflows, and stop last."""
+    div, delta = num - 1, stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    return [(i / div * delta if step == 0 else i * step) + start for i in range(div)] + [stop]
+
+
 def sweep_type(variables: tuple[str, ...]):
     """The --sweep type of a subcommand that may vary `variables`."""
-    def sweep(text: str) -> tuple[str, np.ndarray]:
+    def sweep(text: str) -> tuple[str, list[float]]:
         parts = text.split(":")
         if len(parts) != 4:
             raise argparse.ArgumentTypeError("sweep must be var:start:stop:steps")
@@ -180,7 +188,7 @@ def sweep_type(variables: tuple[str, ...]):
             raise argparse.ArgumentTypeError("sweep needs at least 2 steps")
         if not start < stop:
             raise argparse.ArgumentTypeError("sweep needs start < stop")
-        return var, np.linspace(start, stop, steps)
+        return var, linspace(start, stop, steps)
     return sweep
 
 
@@ -433,8 +441,8 @@ def cmd_wigner(args) -> int:
     if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.pmax - args.pmin)):
         raise argparse.ArgumentTypeError("the grid span overflows a float")
     design = design_for(args.N, args.beta)
-    xs = np.linspace(args.xmin, args.xmax, args.points).tolist()
-    ps = np.linspace(args.pmin, args.pmax, args.points).tolist()
+    xs = linspace(args.xmin, args.xmax, args.points)
+    ps = linspace(args.pmin, args.pmax, args.points)
     lines = zip(xs, wigner_grid(xs, ps, design, 0), wigner_grid(xs, ps, design, 1))
     return emit(args, ({"x": [x], "p": ps, "w_symbol0": w0, "w_symbol1": w1}
                        for x, w0, w1 in lines))

@@ -14,19 +14,19 @@ Fock-space oracle in the test suite).  photon_pmf shares one law per
 argument triple (A, r, theta), holding the last _LAW_CAP = 8.  A law computes
 each value once, in order of n, and keeps those up to the largest n read (at
 most 100,001 through apply_detector_to_pmf without a cutoff); extending a law
-holds its own lock, so laws are safe to share between threads.
+holds its own lock, so laws are safe to share between threads.  Plain Python
+floats throughout: no numpy (see _dss_args for its complex division).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import threading
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
-
-import numpy as np
 
 from .errors import DegenerateSqueezingError, NumericalConsistencyError
 
@@ -65,14 +65,17 @@ def _count(n) -> int:
 
 
 def poisson_pmf(n: int, mu: float) -> float:
-    """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20)."""
+    """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20 or mu^n overflows)."""
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
     n = _count(n)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     if n <= 20:
-        return math.exp(-mu) * mu ** n / math.factorial(n)
+        try:
+            return math.exp(-mu) * mu ** n / math.factorial(n)
+        except OverflowError:
+            pass
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
@@ -153,15 +156,22 @@ def sv_tail_ge(n_min: int, r: float) -> float:
                      r, t2, -0.5 * t2)[1]
 
 
+def _dss_args(A: complex, r: float, theta: float) -> tuple[complex, float]:
+    """(2z, Re[e^{-j theta} A^2] tanh r), z = A e^{-j theta/2} / sqrt(sinh 2r), in the bits the
+    golden tables pin: z divides as numpy does, times the reciprocal with 0.0 cross terms."""
+    w = A * cmath.exp(-0.5j * theta)
+    s = 1.0 / math.sqrt(math.sinh(2.0 * r))
+    return (2.0 * complex((w.real + w.imag * 0.0) * s, (w.imag - w.real * 0.0) * s),
+            (cmath.exp(-1j * theta) * A * A).real * math.tanh(r))
+
+
 def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
     """DSS pmf (r > 0) for n = 0, 1, ...: one Hermite recurrence on (H_{n-1}, H_n, log-scale)."""
     A = complex(A)
-    t = math.tanh(r)
-    two_z = 2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r)))
-    log_half_t = math.log(t / 2.0)
+    two_z, quad = _dss_args(A, r, theta)
+    log_half_t = math.log(math.tanh(r) / 2.0)
     log_cosh = math.log(math.cosh(r))
     abs2 = abs(A) ** 2
-    quad = (np.exp(-1j * theta) * A * A).real * t
     h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
     for k in count():
         if k:
@@ -176,19 +186,25 @@ def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
             continue
         log_p = (k * log_half_t - math.lgamma(k + 1) - log_cosh
                  + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
-        yield math.exp(log_p) if log_p < 0 else float(np.exp(log_p))
+        yield math.exp(log_p)
 
 
 def _kept(values: Iterator[float]) -> Callable[[int], float]:
     """n -> the n-th of `values`, each computed once and kept.  A read past the
-    end advances `values` under the law's own lock; a warm read only checks n."""
-    probs, lock = [], threading.Lock()
+    end advances `values` under the law's own lock; a warm read only checks n.
+    Once `values` raises, its values so far stay and a read past them re-raises."""
+    probs, lock, failure = [], threading.Lock(), []
 
     def law(n) -> float:
         n = _count(n)
         if n >= len(probs):
             with lock:
-                probs.extend(islice(values, max(0, n + 1 - len(probs))))
+                try:
+                    probs.extend(islice(values, max(0, n + 1 - len(probs))))
+                except Exception as exc:
+                    failure.append(exc)
+                if n >= len(probs):
+                    raise failure[0]
         return probs[n]
 
     return law
@@ -228,16 +244,18 @@ def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], floa
 @dataclass(frozen=True)
 class CountDistribution:
     """Pmf over detector outcomes 0..M, the last bin lumping all counts >= M: M + 1
-    values in [-1e-15, 1 + 1e-12] summing left to right to 1 within 1e-12, checked as
-    Python floats in one pass and stored as float64 clipped to [0, 1] (x < 0 reads +0.0)."""
+    values in [-1e-15, 1 + 1e-12] summing left to right to 1 within 1e-12, from any 1-D
+    sequence, checked in one pass and kept as a tuple of Python floats clipped to [0, 1]
+    (x < 0 reads +0.0)."""
 
-    probs: np.ndarray
+    probs: tuple[float, ...]
     M: int
 
     def __post_init__(self):
         object.__setattr__(self, "M", resolution(self.M))
-        if getattr(self.probs, "ndim", 1) != 1 or len(self.probs) != self.M + 1:
-            raise ValueError(f"expected {self.M + 1} probabilities, got {np.shape(self.probs)}")
+        shape = self.probs.shape if hasattr(self.probs, "shape") else (len(self.probs),)
+        if shape != (self.M + 1,):
+            raise ValueError(f"expected {self.M + 1} probabilities, got {shape}")
         mass, clipped = 0.0, []
         for x in map(float, self.probs):
             if not -1e-15 <= x <= 1.0 + 1e-12:
@@ -246,7 +264,7 @@ class CountDistribution:
             clipped.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
         if abs(mass - 1.0) > 1e-12:
             raise NumericalConsistencyError(f"pmf mass {mass!r} != 1")
-        object.__setattr__(self, "probs", np.array(clipped))
+        object.__setattr__(self, "probs", tuple(clipped))
 
 
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:

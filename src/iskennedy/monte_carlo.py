@@ -7,17 +7,16 @@ re-deriving the physics.  A second, physical-process sampler (Poisson draw,
 binomial thinning, additive dark counts) cross-checks the imperfect-detector
 statistics independently.
 
-Sampling uses numpy's PCG64 generator.  Trials are split into fixed-size
-shards whose seeds are spawned from the master seed, so a report depends
-only on (trials, seed), not on how the shards are executed.
+Sampling uses numpy's PCG64 generator, imported only where it samples.  Trials
+are split into fixed-size shards whose seeds are spawned from the master seed,
+so a report depends only on (trials, seed), not on how the shards are executed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision
@@ -57,7 +56,7 @@ class TrialConfig:
     def __post_init__(self):
         for name, low in (("trials", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -101,6 +100,7 @@ def _shards(trials: int, seed: int):
 
     Shard i draws from a PCG64 seeded with the i-th child spawned from seed.
     """
+    import numpy as np
     full, rem = divmod(trials, _SHARD_SIZE)
     sizes = [_SHARD_SIZE] * full + ([rem] if rem else [])
     for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
@@ -114,6 +114,7 @@ def simulate(design: SignalDesign, config: TrialConfig) -> TrialReport:
     points in that symbol's CDF (`_flip_decider`), with no count formed.
     Deterministic: identical (design, config) give a bit-identical report.
     """
+    import numpy as np
     problem, rule = scenario_problem(design, config.scenario)
     accept = np.array([n in rule.accept_set for n in range(problem.M + 1)])
     decide = _flip_decider(accept,
@@ -130,6 +131,7 @@ def _flip_decider(accept: np.ndarray, cdf0: np.ndarray, cdf1: np.ndarray):
     therefore accept[0], flipped once for each flip point j
     (accept[j] != accept[j + 1]) whose edge cdf_s[j] u has reached.
     """
+    import numpy as np
     flips = np.flatnonzero(accept[:-1] != accept[1:])
     edges = np.stack((cdf0[flips], cdf1[flips]), axis=1)
 
@@ -150,6 +152,7 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
     is clipped at the resolution.  Agreement with `simulate` on an
     ImperfectScenario validates the Poisson(eta mu + nu) model.
     """
+    import numpy as np
     mu1 = 4.0 * design.n_eff
     rule = p_err_imperfect(design, det)
     accept = np.array([n in rule.accept_set for n in range(det.M + 1)])
@@ -166,6 +169,7 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
 def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
     """Send uniform random symbols shard by shard, decide each trial with
     decide(rng, symbols) (True: symbol 1), and compare to rule.p_err."""
+    import numpy as np
     sent1 = decided1 = hits = 0
     for size, rng in _shards(config.trials, config.seed):
         symbols = rng.integers(0, 2, size=size)

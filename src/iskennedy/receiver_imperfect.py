@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UndefinedProblemError
 from .fock_statistics import (
     CountDistribution,
@@ -115,6 +113,7 @@ def apply_detector_to_pmf(pmf, det: DetectorModel, incident_cutoff: int | None =
     Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
     identity at eta = 1); the darks are convolved in, truncated at M.
     """
+    import numpy as np  # the one array kernel here; the scalar receivers need no numpy
     limit = incident_cutoff if incident_cutoff is not None else 100000
     incident = []
     covered = 0.0

@@ -134,7 +134,7 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     that of symbol 0; under equal priors the resulting error is
     1 - sum_n max{P(n|0), P(n|1)}/2, the minimum over all labelings.
     """
-    p0, p1 = problem.dist0.probs.tolist(), problem.dist1.probs.tolist()
+    p0, p1 = problem.dist0.probs, problem.dist1.probs
     accept = frozenset(n for n in range(problem.M + 1) if p1[n] >= p0[n])
     p_fa = p_mi = 0.0
     for n in accept:  # plain loops: sum() compensates floats on Python >= 3.12

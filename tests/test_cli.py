@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import random
+import struct
 import subprocess
 import sys
 
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iskennedy import design_at_optimal_beta, make_design, p_err_ideal
-from iskennedy.cli import main, scenario_fails
+from iskennedy.cli import linspace, main, scenario_fails
 
 from oracles import displaced_squeezed_pmf, receiver_output_pmf
 
@@ -345,6 +348,77 @@ def test_runtime_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=env, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def readme_curve_invocations() -> list[list[str]]:
+    """The README's standard-curve invocations but `validate`, as argument lists."""
+    section = (ROOT / "README.md").read_text().split("## Reproducing the standard curves")[1]
+    lines = section.split("\n## ")[0].splitlines()
+    return [line.split("#")[0].split()[1:] for line in lines
+            if line.startswith("iskennedy ") and not line.startswith("iskennedy validate")]
+
+
+def run_fresh(code: str, *args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=env, timeout=120).stdout
+
+
+def test_package_and_readme_curves_import_no_numpy():
+    invocations = readme_curve_invocations()
+    assert len(invocations) == 17
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import iskennedy, iskennedy.cli\n"
+        "def numpy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "seen = {'import': numpy()}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = iskennedy.cli.main(argv)\n"
+        "    seen[' '.join(argv)] = [code, *numpy()]\n"
+        "print(json.dumps(seen))\n")
+    seen = json.loads(run_fresh(probe, json.dumps(invocations)))
+    assert seen == {"import": [], **{" ".join(argv): [0] for argv in invocations}}
+
+
+def test_package_import_loads_every_traced_module():
+    # The benchmark's tracer imports iskennedy.cli, then looks each module of its
+    # TARGETS up in sys.modules: the package must import all the others eagerly.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import tracing, iskennedy; "
+             "print(sorted(({m for m, _, _ in tracing.TARGETS} | set(tracing.MODULES)) - {'cli'}"
+             " - {m.partition('.')[2] for m in sys.modules if m.startswith('iskennedy.')}))")
+    assert run_fresh(probe, str(ROOT / "bench")).strip() == "[]"
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    rng = random.Random(20261019)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -1.0, 3.0, 4.0, -4.0, 1e300, -1e300)
+    cases = 0
+    while cases < 20_000:
+        kind = cases % 4
+        if kind == 0:
+            start, stop = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+        elif kind == 1:
+            start, stop = rng.choice(specials), rng.choice(specials)
+        elif kind == 2:  # zero spans and spans of a few ulps, whose step may underflow
+            start = rng.choice((rng.uniform(-5.0, 5.0), 0.0, -0.0, 5e-324))
+            stop = start
+            for _ in range(rng.randint(0, 3)):
+                stop = math.nextafter(stop, rng.choice((-math.inf, math.inf)))
+        else:
+            start = rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0)))
+            stop = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320.0, 3.0)
+        if not math.isfinite(stop - start):
+            continue  # the CLI rejects a span that overflows
+        num = rng.choice((1, 2, 3, 101, rng.randint(1, 400)))
+        got, want = linspace(start, stop, num), np.linspace(start, stop, num).tolist()
+        assert all(type(x) is float for x in got)
+        assert struct.pack(f"{num}d", *got) == struct.pack(f"{len(want)}d", *want), \
+            (start, stop, num)
+        cases += 1
 
 
 @pytest.mark.parametrize("name", ["gaussian_states", "benchmarks", "receiver_ideal",

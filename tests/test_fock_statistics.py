@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 import threading
 import time
@@ -53,6 +54,22 @@ class TestPoisson:
             poisson_pmf(1, -0.5)
         with pytest.raises(ValueError):
             poisson_pmf(-1, 0.5)
+
+    def test_powers_that_overflow_take_the_log_form(self):
+        # (1e300)**n overflows for 2 <= n <= 20; e^-mu makes every such value 0.
+        for n in range(41):
+            assert poisson_pmf(n, 1e300) == 0.0
+        assert poisson_pmf(0, math.inf) == 0.0
+
+    def test_values_the_direct_form_gives_do_not_move(self):
+        rng = random.Random(20261019)
+        for _ in range(20_000):
+            n, mu = rng.randint(0, 20), 10.0 ** rng.uniform(-300.0, 300.0)
+            try:
+                direct = math.exp(-mu) * mu ** n / math.factorial(n)
+            except OverflowError:
+                continue
+            assert struct.pack("d", poisson_pmf(n, mu)) == struct.pack("d", direct), (n, mu)
 
     def test_tails_match_direct_sums(self):
         for k, mu in [(1, 0.01), (2, 0.5), (5, 3.0), (0, 2.0)]:
@@ -330,6 +347,33 @@ class TestKeptLaws:
                 assert value == dss_pmf(n, a, r, theta)
         assert fock_statistics._law.cache_info().currsize <= fock_statistics._LAW_CAP
 
+    def test_a_poisson_law_reads_past_an_overflowing_power(self):
+        fock_statistics._law.cache_clear()
+        law = photon_pmf(1e150, 0.0)
+        assert [law(2), law(30), law(0)] == [0.0, 0.0, 0.0]
+
+    def test_a_law_whose_computation_raises_keeps_its_values_and_raises_past_them(self):
+        failure = OverflowError("value 2")
+
+        def values():
+            yield 0.5
+            yield 0.25
+            raise failure
+
+        law = fock_statistics._kept(values())
+        for n in (5, 2, 30, 3):
+            with pytest.raises(OverflowError) as raised:
+                law(n)
+            assert raised.value is failure
+        assert (law(0), law(1)) == (0.5, 0.25)
+
+    def test_a_dss_law_that_overflows_raises_at_every_read(self):
+        fock_statistics._law.cache_clear()
+        law = photon_pmf(1e200, 0.5)  # |A|^2 overflows before the first value
+        for n in (0, 30, 0, 5):
+            with pytest.raises(OverflowError):
+                law(n)
+
     def test_cache_holds_at_most_its_cap(self):
         fock_statistics._law.cache_clear()
         for i in range(3 * fock_statistics._LAW_CAP):
@@ -374,7 +418,7 @@ class TestKeptLaws:
 
 def _clamped(M):
     dist = clamp_to_resolution(lambda n: poisson_pmf(n, 0.7), M)
-    return dist.M, dist.probs.tobytes()
+    return dist.M, np.array(dist.probs).tobytes()
 
 
 def _detector_rule(M):
@@ -428,10 +472,11 @@ class TestClampToResolution:
     @settings(max_examples=60, deadline=None)
     def test_clamped_poisson_properties(self, mu, M):
         dist = clamp_to_resolution(lambda n: poisson_pmf(n, mu), M)
+        probs = np.array(dist.probs)
         assert dist.M == M
-        assert dist.probs.shape == (M + 1,)
-        assert np.all(dist.probs >= 0.0) and np.all(dist.probs <= 1.0)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert type(dist.probs) is tuple and probs.shape == (M + 1,)
+        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert dist.probs[M] == pytest.approx(poisson_tail_ge(M, mu), abs=1e-12)
 
     def test_count_distribution_validation(self):
@@ -478,7 +523,8 @@ class TestPlainFloatConstruction:
     @pytest.mark.parametrize("law", _LAWS)
     def test_clamped_laws_match_numpy_construction(self, law, M):
         new = clamp_to_resolution(photon_pmf(*law), M).probs
-        assert new.tobytes() == _numpy_clamp(photon_pmf(*law), M).tobytes()
+        assert type(new) is tuple
+        assert np.array(new).tobytes() == _numpy_clamp(photon_pmf(*law), M).tobytes()
 
     @pytest.mark.parametrize("M", _RESOLUTIONS)
     def test_detector_outputs_match_numpy_construction(self, M, monkeypatch):
@@ -496,7 +542,9 @@ class TestPlainFloatConstruction:
             for law in ((0.0, 0.3, 0.0), (1.5, 0.2, 0.4), (1.4, 0.0, 0.0)):
                 dist = apply_detector_to_pmf(photon_pmf(*law), DetectorModel(eta, nu, M),
                                              incident_cutoff=4 * M + 400)
-                assert dist.probs.tobytes() == _numpy_stored(given_probs[-1], M).tobytes()
+                assert type(dist.probs) is tuple
+                assert (np.array(dist.probs).tobytes()
+                        == _numpy_stored(given_probs[-1], M).tobytes())
 
 
 class TestCountDistributionConstruction:
@@ -515,7 +563,7 @@ class TestCountDistributionConstruction:
 
     def test_entries_just_above_one_are_clipped(self):
         dist = CountDistribution(probs=(1.0 + 5e-13, 0.0), M=1)
-        assert dist.probs.tolist() == [1.0, 0.0]
+        assert dist.probs == (1.0, 0.0)
 
     @pytest.mark.parametrize("probs", [np.array([[0.5, 0.5]]), np.array([[0.5], [0.5]]),
                                        np.array(1.0)])
@@ -539,12 +587,56 @@ class TestCountDistributionConstruction:
     ])
     def test_sequences_are_stored_as_one_dimensional_float64(self, probs):
         dist = CountDistribution(probs=probs, M=1)
-        assert type(dist.probs) is np.ndarray
-        assert dist.probs.dtype == np.float64 and dist.probs.shape == (2,)
-        assert dist.probs.tolist() == [float(x) for x in probs]
+        assert type(dist.probs) is tuple and len(dist.probs) == 2
+        assert all(type(x) is float for x in dist.probs)
+        assert np.array(dist.probs).tobytes() == np.array(probs, dtype=np.float64).tobytes()
+        assert list(dist.probs) == [float(x) for x in probs]
 
     def test_clamped_laws_are_stored_as_one_dimensional_float64(self):
         for M in _RESOLUTIONS:
             probs = clamp_to_resolution(photon_pmf(1.3, 0.4), M).probs
-            assert type(probs) is np.ndarray
-            assert probs.dtype == np.float64 and probs.shape == (M + 1,)
+            assert type(probs) is tuple and len(probs) == M + 1
+            assert all(type(x) is float for x in probs)
+
+
+def _bits(*xs):
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
+def _numpy_dss_args(A, r, theta):
+    """two_z and quad of the DSS law as they were spelled with numpy."""
+    return (2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r))),
+            (np.exp(-1j * theta) * A * A).real * math.tanh(r))
+
+
+class TestNumpyFreeSpellings:
+    """The plain-Python spellings of the DSS law give numpy's bits."""
+
+    def test_dss_args_match_numpy_bit_for_bit(self):
+        rng = random.Random(20261019)
+        zeros = (0.0, -0.0)
+        for i in range(20_000):
+            re, im = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
+            if i % 5 == 1:
+                im = rng.choice(zeros)
+            elif i % 5 == 2:
+                re = rng.choice(zeros)
+            r = rng.uniform(1e-8, 3.0) if i % 2 else 10.0 ** rng.uniform(-8.0, 0.5)
+            theta = rng.choice((rng.uniform(-math.pi, math.pi), 0.0, -0.0, math.pi, -math.pi,
+                                0.03 * math.pi))
+            A = complex(re, im)
+            two_z, quad = fock_statistics._dss_args(A, r, theta)
+            old_z, old_quad = _numpy_dss_args(A, r, theta)
+            assert _bits(two_z.real, two_z.imag, quad) == _bits(old_z.real, old_z.imag, old_quad), \
+                (A, r, theta)
+
+    def test_math_exp_matches_numpy_where_log_p_can_reach_zero(self):
+        # log_p >= 0 is reached only where the terms of log P(0) all round to zero
+        # (no Gaussian state has P(n >= 1) within rounding of 1): log_p is then +-0 or a
+        # subnormal sum; [0, 1e-12] holds that range with room to spare.
+        rng = random.Random(20261020)
+        xs = [0.0, -0.0, 5e-324, 2.0 ** -1070, 2.0 ** -53, 2.0 ** -52, 1e-12]
+        xs += [rng.uniform(0.0, 1e-12) for _ in range(10_000)]
+        xs += [10.0 ** rng.uniform(-323.0, -12.0) for _ in range(10_000)]
+        for x in xs:
+            assert _bits(math.exp(x)) == _bits(float(np.exp(x))), x

@@ -51,7 +51,7 @@ class TestIdealCountPmf:
     def test_normalized(self):
         for M in (1, 4, 32):
             dist = ideal_count_pmf(design_at_optimal_beta(0.7), 1, M)
-            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMapThreshold:

@@ -196,7 +196,7 @@ class TestDetectorComposition:
         for n in range(det.M):
             assert composed.probs[n] == pytest.approx(
                 poisson_pmf(n, det.eta * mu + det.nu), abs=1e-12)
-        assert composed.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(composed.probs) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("law", sorted(INCIDENT))
     @pytest.mark.parametrize("M", [1, 3, 10])
