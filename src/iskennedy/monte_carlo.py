@@ -122,7 +122,7 @@ def simulate(design: SignalDesign, config: TrialConfig) -> TrialReport:
     return _tally(config, rule, lambda rng, symbols: decide(symbols, rng.random(symbols.size)))
 
 
-def _flip_decider(accept: np.ndarray, cdf0: np.ndarray, cdf1: np.ndarray):
+def _flip_decider(accept, cdf0, cdf1):
     """decide(symbols, u): accept[count] per trial, where the inverse-CDF count
     min(#{k : cdf_s[k] <= u}, M) is never formed.
 
