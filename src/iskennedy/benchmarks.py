@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import BracketError
+from .errors import BracketError, nonnegative
 from .gaussian_states import design_at_optimal_beta
 
 
@@ -26,50 +26,46 @@ def _helstrom_from_overlap_exponent(x: float) -> float:
 
 def helstrom_dss(alpha: float, r: float) -> float:
     """Helstrom bound for the squeezed alphabet, (1 - sqrt(1 - e^{-4 a^2 e^{2r}}))/2."""
-    if alpha < 0 or r < 0:
-        raise ValueError("alpha and r must be >= 0")
+    nonnegative(alpha, "alpha")
+    nonnegative(r, "r")
     return _helstrom_from_overlap_exponent(4.0 * alpha * alpha * math.exp(2.0 * r))
 
 
 def sql_dss(alpha: float, r: float) -> float:
     """Homodyne limit for the squeezed alphabet, erfc(sqrt(2) a e^r)/2."""
-    if alpha < 0 or r < 0:
-        raise ValueError("alpha and r must be >= 0")
+    nonnegative(alpha, "alpha")
+    nonnegative(r, "r")
     return 0.5 * math.erfc(math.sqrt(2.0) * alpha * math.exp(r))
 
 
 def helstrom_cs(N: float) -> float:
     """Helstrom bound for coherent-state BPSK at energy N."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return _helstrom_from_overlap_exponent(4.0 * N)
 
 
 def sql_cs(N: float) -> float:
     """Homodyne limit for coherent-state BPSK, erfc(sqrt(2N))/2."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return 0.5 * math.erfc(math.sqrt(2.0 * N))
 
 
 def hb_dss_opt(N: float) -> float:
     """Squeezed-alphabet Helstrom bound at the optimal energy split."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return _helstrom_from_overlap_exponent(4.0 * N * (N + 1.0))
 
 
 def sql_dss_opt(N: float) -> float:
     """Squeezed-alphabet homodyne limit at the optimal energy split."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return 0.5 * math.erfc(math.sqrt(2.0 * N * (N + 1.0)))
 
 
 def ratio_db(a: float, b: float) -> float:
     """10 log10(a/b); both inputs must be positive."""
-    if a <= 0 or b <= 0:
-        raise ValueError("ratio_db requires positive probabilities")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"ratio_db requires finite positive probabilities, got ({a!r}, {b!r})")
     return 10.0 * math.log10(a / b)
 
 

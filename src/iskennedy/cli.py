@@ -19,13 +19,13 @@ Output is CSV (RFC-4180, '.' decimal, 17 significant digits) or JSON lines;
 rows are emitted in sweep order, through `emit` as column blocks (see Writer):
 a Wigner grid one x line at a time, other tables up to 256 rows at a time,
 each distinct float formatted once a table.
-Exit codes: 0 ok, 2 usage error, 3 numerical-consistency failure,
-4 validation failure.  Usage errors write nothing: an option the subcommand
-does not take, a sweep variable it cannot vary, a non-finite number or
-Wigner grid span, --M < 1, --nmax < 0 and --points or --trials < 1 are
-rejected before output, and so is a value a model rejects at any point of a
-sweep (--eta 2, --sweep eta:0.5:2:4).  A negative value may follow its
-option as a separate word in any float form (--dtheta -1e-3).
+Exit codes: 0 ok, 1 reader closed the pipe, 2 usage error, 3 numerical-
+consistency failure, 4 validation failure.  Usage errors write nothing: an
+option the subcommand does not take, a sweep variable it cannot vary, a
+non-finite number or Wigner grid span, --M < 1, --nmax < 0 and --points or
+--trials < 1 are rejected before output, and so is a value a model rejects
+at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A negative value
+may follow its option as a separate word in any float form (--dtheta -1e-3).
 A dB cell is empty at N = 0 and where one of its probabilities underflows
 to 0.
 
@@ -41,6 +41,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -57,6 +58,7 @@ from .receiver_mismatch import (MismatchModel, map_set_decision, mismatch_count_
                                 residual)
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
@@ -304,6 +306,7 @@ def emit(args, blocks) -> int:
         w = Writer(fh, cols, args.format)
         for block in itertools.chain((first,), blocks):
             w.write_block(block)
+        fh.flush()  # a closed pipe raises here, not at shutdown
     return EXIT_OK
 
 
@@ -395,8 +398,8 @@ def _mismatch_row(a) -> dict:
     else:
         # Experimental: push the mismatch laws through an (eta, nu) detector.
         det = DetectorModel(eta=a.eta, nu=a.nu, M=a.M)
-        dist0, dist1 = (apply_detector_to_pmf(mismatch_law(design, res, s), det,
-                                              incident_cutoff=4 * a.M + 400) for s in (0, 1))
+        dist0, dist1 = (apply_detector_to_pmf(mismatch_law(design, res, s), det)
+                        for s in (0, 1))
     rule = map_set_decision(DecisionProblem(dist0=dist0, dist1=dist1))
     return {"N": a.N, "delta_r": a.delta_r, "delta_theta": a.delta_theta, "M": a.M,
             "r_m": res.r_m, "theta_m": res.theta_m, "vartheta": res.vartheta,
@@ -567,6 +570,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Looked up on each call, so wrappers installed on this module take effect.
         return globals()["cmd_" + args.command](args)
+    except BrokenPipeError:  # the reader left (`| head`): the shutdown flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

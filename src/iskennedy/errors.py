@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a nonnegative input."""
+
+import math
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -19,3 +21,10 @@ class BracketError(RuntimeError):
 
 class UndefinedProblemError(ValueError):
     """The decision problem is degenerate (identical hypotheses)."""
+
+
+def nonnegative(value, name: str):
+    """`value`, if it is finite and >= 0; else ValueError naming the quantity."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value

@@ -13,7 +13,7 @@ which the distribution is normalized (checked against an independent
 Fock-space oracle in the test suite).  photon_pmf shares one law per
 argument triple (A, r, theta), holding the last _LAW_CAP = 8.  A law computes
 each value once, in order of n, and keeps those up to the largest n read (at
-most 100,001 through apply_detector_to_pmf without a cutoff); extending a law
+most 4M + 401 through apply_detector_to_pmf at resolution M); extending a law
 holds its own lock, so laws are safe to share between threads.  Plain Python
 floats throughout: no numpy (see _dss_args for its complex division).
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .errors import DegenerateSqueezingError, NumericalConsistencyError
+from .errors import DegenerateSqueezingError, NumericalConsistencyError, nonnegative
 
 # Partial pmf mass may exceed 1 by accumulated rounding; anything above this
 # slack indicates a real bug in the pmf, not rounding.
@@ -66,8 +66,8 @@ def _count(n) -> int:
 
 def poisson_pmf(n: int, mu: float) -> float:
     """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20 or mu^n overflows)."""
-    if mu < 0:
-        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+    if not mu >= 0:  # mu = +inf is the limit where every value is 0
+        raise ValueError(f"Poisson mean must be >= 0, got {mu!r}")
     n = _count(n)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -124,8 +124,7 @@ def poisson_cdf_below(k: int, mu: float) -> float:
 def sv_pmf(n: int, r: float) -> float:
     """Squeezed-vacuum photon pmf: zero for odd n, else
     (2k)!/(2^{2k} (k!)^2) tanh^{2k}(r) / cosh(r) with n = 2k."""
-    if r < 0:
-        raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
+    nonnegative(r, "r")
     n = _count(n)
     if n % 2 == 1 or r == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -213,13 +212,12 @@ def _kept(values: Iterator[float]) -> Callable[[int], float]:
 def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     """Photon pmf of a displaced squeezed state with complex displacement.
 
-    Valid only for r > 0; the r -> 0 limit is a coherent state, which
+    Valid only for finite r > 0; the r -> 0 limit is a coherent state, which
     photon_pmf switches to below r = 1e-8.
     """
-    if r <= 0:
+    if not 0.0 < r < math.inf:
         raise DegenerateSqueezingError(
-            f"dss_pmf requires r > 0 (got {r}); use poisson_pmf(|alpha_c|^2) instead"
-        )
+            f"dss_pmf requires finite r > 0, got {r!r}; at r = 0 use poisson_pmf(|alpha_c|^2)")
     return _kept(_dss_values(alpha_c, r, theta))(n)
 
 
@@ -227,7 +225,7 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
 def _law(A: complex, r: float, theta: float) -> Callable[[int], float]:
     """Kept law of S(r e^{j theta}) D(A)|0>: Poisson of mean |A|^2 below r = 1e-8,
     the squeezed vacuum at A = 0, else the DSS law.  _law.__wrapped__ builds anew."""
-    if r < _POISSON_CUTOFF_R:
+    if nonnegative(r, "r") < _POISSON_CUTOFF_R:
         mu = abs(A) ** 2
         return _kept(poisson_pmf(n, mu) for n in count())
     if A == 0:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import nonnegative
+
 
 @dataclass(frozen=True)
 class SignalDesign:
@@ -51,24 +53,27 @@ class PhaseSpacePoint:
             raise ValueError("phase-space coordinates must be finite")
 
 
-def _mean_x(design: SignalDesign, symbol: int) -> float:
-    """<X> of the symbol state, -/+ sqrt(2) alpha for symbol 0/1."""
+def binary_symbol(symbol: int) -> int:
+    """`symbol`, if it is 0 or 1; else ValueError."""
     if symbol not in (0, 1):
         raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    return (1.0 if symbol == 1 else -1.0) * math.sqrt(2.0) * design.alpha
+    return symbol
+
+
+def _mean_x(design: SignalDesign, symbol: int) -> float:
+    """<X> of the symbol state, -/+ sqrt(2) alpha for symbol 0/1."""
+    return (1.0 if binary_symbol(symbol) == 1 else -1.0) * math.sqrt(2.0) * design.alpha
 
 
 def optimal_beta(N: float) -> float:
     """Energy split that minimizes the discrimination error at fixed N."""
-    if N < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {N}")
+    nonnegative(N, "N")
     return N / (2.0 * N + 1.0)
 
 
 def make_design(N: float, beta: float) -> SignalDesign:
     """Build the alphabet point for total energy N and squeezing fraction beta."""
-    if N < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {N}")
+    nonnegative(N, "N")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"squeezing fraction must lie in [0, 1], got {beta}")
     alpha = math.sqrt(N * (1.0 - beta))

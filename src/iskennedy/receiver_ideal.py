@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
-from .errors import UndefinedProblemError
+from .errors import UndefinedProblemError, nonnegative
 from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_pmf
-from .gaussian_states import SignalDesign
+from .gaussian_states import SignalDesign, binary_symbol
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,7 @@ def transform_means(design: SignalDesign) -> tuple[float, float]:
 
 def ideal_count_pmf(design: SignalDesign, symbol: int, M: int) -> CountDistribution:
     """Count statistics behind a perfect detector, truncated to resolution M."""
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    mu = transform_means(design)[symbol]
+    mu = transform_means(design)[binary_symbol(symbol)]
     return clamp_to_resolution(lambda n: poisson_pmf(n, mu), M)
 
 
@@ -82,8 +80,8 @@ def map_threshold_ideal(mu0: float, mu1: float) -> int:
 
     The mu0 -> 0 limit of the ratio is 0+, so the threshold is 1 there.
     """
-    if mu0 < 0 or mu1 <= mu0:
-        raise ValueError(f"need mu1 > mu0 >= 0, got ({mu0}, {mu1})")
+    if not 0.0 <= mu0 < mu1 < math.inf:
+        raise ValueError(f"need finite mu1 > mu0 >= 0, got ({mu0!r}, {mu1!r})")
     if mu0 == 0.0:
         return 1
     return math.ceil((mu1 - mu0) / (math.log(mu1) - math.log(mu0)))
@@ -91,15 +89,13 @@ def map_threshold_ideal(mu0: float, mu1: float) -> int:
 
 def p_err_ideal(N: float) -> float:
     """Receiver error exp(-4N(N+1))/2 at the optimal energy split."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return 0.5 * math.exp(-4.0 * N * (N + 1.0))
 
 
 def p_err_kennedy(N: float) -> float:
     """Conventional Kennedy (coherent-state on-off) error exp(-4N)/2."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     return 0.5 * math.exp(-4.0 * N)
 
 
@@ -110,8 +106,7 @@ def ratio_to_helstrom(N: float) -> float:
     which avoids the cancellation in the quotient form and makes the [1, 2]
     range explicit.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    nonnegative(N, "N")
     E = math.exp(-4.0 * N * (N + 1.0))
     return 1.0 + math.sqrt(1.0 - E)
 

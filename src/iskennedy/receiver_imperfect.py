@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedProblemError
+from .errors import UndefinedProblemError, nonnegative
 from .fock_statistics import (
     CountDistribution,
     clamp_to_resolution,
@@ -20,17 +20,12 @@ from .fock_statistics import (
     poisson_tail_ge,
     resolution,
 )
-from .gaussian_states import SignalDesign
+from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
 
 # Below this dark rate the threshold formula's denominator blows up and the
 # rule is plain on-off detection.
 _NU_ONOFF_CUTOFF = 1e-12
-
-
-def _check_nu(nu: float) -> None:
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -47,31 +42,27 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        _check_nu(self.nu)
+        nonnegative(self.nu, "nu")
         object.__setattr__(self, "M", resolution(self.M))
 
 
 def detected_count_pmf(design: SignalDesign, det: DetectorModel, symbol: int) -> CountDistribution:
     """Poisson(eta * mu_i + nu) truncated to the detector resolution."""
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    mu = det.eta * transform_means(design)[symbol] + det.nu
+    mu = det.eta * transform_means(design)[binary_symbol(symbol)] + det.nu
     return clamp_to_resolution(lambda n: poisson_pmf(n, mu), det.M)
 
 
 def optimal_threshold(det: DetectorModel, n_eff: float) -> int:
     """MAP threshold min{ceil(4 eta n_eff / ln(1 + 4 eta n_eff / nu)), M}."""
-    if n_eff < 0:
-        raise ValueError("n_eff must be >= 0")
-    signal = 4.0 * det.eta * n_eff
+    signal = 4.0 * det.eta * nonnegative(n_eff, "n_eff")
     if det.nu < _NU_ONOFF_CUTOFF:
         if signal == 0.0:
             raise UndefinedProblemError("no signal and no dark counts: nothing to decide")
         return 1
-    if signal == 0.0:
-        # Continuous limit of signal/log1p(signal/nu) as signal -> 0.
+    log_ratio = math.log1p(signal / det.nu)
+    if log_ratio == 0.0:  # signal -> 0, or signal/nu underflows: the continuous limit
         return min(max(1, math.ceil(det.nu)), det.M)
-    return min(math.ceil(signal / math.log1p(signal / det.nu)), det.M)
+    return min(math.ceil(signal / log_ratio), det.M)
 
 
 def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
@@ -90,7 +81,7 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
 
 def saturation_floor(M: int, nu: float) -> float:
     """High-energy error floor nu^M / (2 M!)."""
-    _check_nu(nu)
+    nonnegative(nu, "nu")
     M = resolution(M)
     if nu == 0.0:
         return 0.0
@@ -99,25 +90,24 @@ def saturation_floor(M: int, nu: float) -> float:
 
 def exact_saturation_floor(M: int, nu: float) -> float:
     """Exact high-energy limit: half the dark-count tail P(n >= M; nu)."""
-    _check_nu(nu)
+    nonnegative(nu, "nu")
     return 0.5 * poisson_tail_ge(resolution(M), nu)
 
 
-def apply_detector_to_pmf(pmf, det: DetectorModel, incident_cutoff: int | None = None) -> CountDistribution:
+def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     """Push an arbitrary incident-photon pmf through the (eta, nu) detector.
 
     Experimental composition used only by the CLI: detected counts are a
     binomial thinning of the incident count plus independent Poisson darks.
     `pmf` maps an incident photon number to its probability; incident numbers
-    are gathered until 1 - 1e-12 of the mass is covered (or incident_cutoff).
+    are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400.
     Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
     identity at eta = 1); the darks are convolved in, truncated at M.
     """
     import numpy as np  # the one array kernel here; the scalar receivers need no numpy
-    limit = incident_cutoff if incident_cutoff is not None else 100000
     incident = []
     covered = 0.0
-    for k in range(limit + 1):
+    for k in range(4 * det.M + 401):
         incident.append(pmf(k))
         covered += incident[-1]
         if 1.0 - covered < 1e-12:

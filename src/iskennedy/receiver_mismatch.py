@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import nonnegative
 from .fock_statistics import (CountDistribution, clamp_to_resolution, photon_pmf, resolution,
                               sv_tail_ge)
-from .gaussian_states import SignalDesign
+from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
 
 
@@ -56,8 +57,7 @@ class ResidualSqueezing:
 
 def bogoliubov(r: float, mm: MismatchModel) -> tuple[complex, complex]:
     """Coefficients of a -> x a + y a^dag for receiver-then-transmitter squeezing."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    nonnegative(r, "r")
     r_s = -r + mm.delta_r
     phase = cmath.exp(1j * mm.delta_theta)
     x = math.cosh(r_s) * math.cosh(r) + phase * math.sinh(r_s) * math.sinh(r)
@@ -95,8 +95,7 @@ def first_order_residual(r: float, mm: MismatchModel) -> tuple[float, float]:
     theta_m expression arg(dr - j dt/2 sinh 2r) + dt sinh^2 r carries a
     first-order phase error of order dt/2 and is validation-only.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    nonnegative(r, "r")
     if abs(mm.delta_r) > 0.2 or abs(mm.delta_theta) > 0.2:
         raise ValueError("first-order form is restricted to |dr|, |dt| <= 0.2")
     s2r = math.sinh(2.0 * r)
@@ -116,9 +115,7 @@ def mismatch_law(design: SignalDesign, res: ResidualSqueezing,
     D(2 gamma)|0> (see ResidualSqueezing).  At negligible r_m both collapse
     to the matched-case statistics.
     """
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    return photon_pmf(2.0 * design.gamma * symbol, res.r_m, res.theta_m)
+    return photon_pmf(2.0 * design.gamma * binary_symbol(symbol), res.r_m, res.theta_m)
 
 
 def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,

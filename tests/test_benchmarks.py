@@ -2,18 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
 from iskennedy import (
     BracketError,
+    DetectorModel,
+    MismatchModel,
+    UndefinedProblemError,
     crossover_sql_dss_vs_hb_cs,
     design_at_optimal_beta,
     hb_dss_opt,
     helstrom_cs,
     helstrom_dss,
     homodyne_pdf,
+    ideal_decision,
+    make_design,
+    p_err_ideal,
+    p_err_imperfect,
+    p_err_mismatch,
     ratio_db,
+    residual,
+    spd_mismatch_error,
     sql_cs,
     sql_dss,
     sql_dss_opt,
@@ -122,3 +134,37 @@ def test_bisect_requires_sign_change():
 def test_bisect_tolerance():
     root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-9)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-8)
+
+
+def _error_or_coin_flip(rule, bound: float) -> float:
+    """p_err of a receiver, or 1/2 where it has nothing to decide (no signal, no darks)."""
+    try:
+        return rule().p_err
+    except UndefinedProblemError:
+        assert bound == 0.5  # only hypotheses that coincide may leave nothing to decide
+        return 0.5
+
+
+@given(N=st.floats(0.0, 3.0), beta=st.none() | st.floats(0.0, 1.0),
+       eta=st.floats(1e-3, 1.0), nu=st.floats(0.0, 10.0), M=st.integers(1, 40),
+       dr=st.floats(-0.5, 0.5), dt=st.floats(-3.0, 3.0))
+@example(N=5e-324, beta=None, eta=0.5, nu=4.0, M=1, dr=0.0, dt=0.0)  # signal/nu underflows
+@settings(max_examples=200, deadline=None)
+def test_no_receiver_beats_the_helstrom_bound(N, beta, eta, nu, M, dr, dt):
+    design = design_at_optimal_beta(N) if beta is None else make_design(N, beta)
+    bound = helstrom_dss(design.alpha, design.r)
+    mm = MismatchModel(dr, dt)
+    errors = {
+        "ideal_decision": _error_or_coin_flip(lambda: ideal_decision(design, M), bound),
+        "p_err_imperfect": _error_or_coin_flip(
+            lambda: p_err_imperfect(design, DetectorModel(eta, nu, M)), bound),
+        "p_err_mismatch": p_err_mismatch(design, mm, M).p_err,
+        "spd_mismatch_error": spd_mismatch_error(design, residual(design, mm)).p_err,
+    }
+    if beta is None:
+        errors["p_err_ideal"] = p_err_ideal(N)
+    # A p_err sums at most M + 1 rounded probabilities.  Where the hypotheses (nearly)
+    # coincide, both sides sit at 1/2 and the true margin is below that rounding.
+    floor = bound * (1.0 - (M + 1) * 2.0 ** -53)
+    for receiver, p_err in errors.items():
+        assert p_err >= floor, (receiver, p_err, bound)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -275,6 +276,20 @@ def test_console_script_entrypoint():
     assert proc.stdout.startswith("N,")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_closing_the_pipe_ends_the_run_quietly(unbuffered):
+    # 3000 rows (~0.5 MB) outgrow the pipe's buffer, so the writer meets the closed pipe.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "iskennedy.cli", "bounds", "--sweep", "N:0.01:3:3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline().startswith("N,hb_cs,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
 # --- usage errors write nothing ------------------------------------------------
 
 def assert_usage_error_writes_nothing(args, tmp_path):
@@ -365,6 +380,28 @@ def run_fresh(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           check=True, env=env, timeout=120).stdout
+
+
+def test_readme_subcommand_table_and_exit_codes_match_the_parser():
+    import iskennedy.cli as cli
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("Subcommands, their options, sweeps and columns:")[1].split("\n\n")[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        name, options, sweeps, inputs, metrics = (c.strip() for c in line.strip("|").split("|"))
+        documented[name.strip("`")] = (
+            tuple(o.removeprefix("--") for o in options.strip("`").split()),
+            () if sweeps == "none" else tuple(sweeps.split(", ")),
+            tuple(inputs.split(", ")), tuple(metrics.split(", ")))
+    assert documented == {name: (c.options, c.sweeps, c.inputs, c.metrics)
+                          for name, c in cli.COMMANDS.items()}
+
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    listed = readme.split("Exit codes: ")[1].split(".")[0]
+    assert [int(c) for c in re.findall(r"`(\d+)`", listed)] == sorted(codes)
+    listed = cli.__doc__.split("Exit codes: ")[1].split(".")[0]
+    assert [int(c) for c in re.findall(r"(\d+) ", listed)] == sorted(codes)
 
 
 def test_package_and_readme_curves_import_no_numpy():

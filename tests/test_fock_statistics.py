@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 import sys
 import threading
@@ -486,6 +487,65 @@ class TestClampToResolution:
             CountDistribution(probs=np.array([0.5, 0.5]), M=2)
 
 
+def _input_entry_points():
+    """Every entry point that checks a model input: key -> (quantity, value -> call)."""
+    import iskennedy as ik
+    from iskennedy import gaussian_states as gs
+    from iskennedy import receiver_ideal as ri
+    from iskennedy import receiver_imperfect as rimp
+    from iskennedy import receiver_mismatch as rm
+
+    design = design_at_optimal_beta(1.0)
+    det, mm = DetectorModel(0.9, 1e-3, 3), MismatchModel(0.02, 0.0)
+    res = residual(design, mm)
+    point = gs.PhaseSpacePoint(0.0, 0.0)
+    entries = {
+        "N": [ik.helstrom_cs, ik.sql_cs, ik.hb_dss_opt, ik.sql_dss_opt, ik.p_err_ideal,
+              ri.p_err_kennedy, ri.ratio_to_helstrom, gs.optimal_beta,
+              lambda N: gs.make_design(N, 0.5), design_at_optimal_beta],
+        "alpha": [lambda a: ik.helstrom_dss(a, 0.5), lambda a: ik.sql_dss(a, 0.5)],
+        "r": [lambda r: ik.helstrom_dss(0.5, r), lambda r: ik.sql_dss(0.5, r),
+              lambda r: rm.bogoliubov(r, mm), lambda r: rm.first_order_residual(r, mm),
+              lambda r: sv_pmf(2, r), lambda r: photon_pmf(1.0, r)(0),
+              lambda r: photon_pmf(0.0, r)(0), lambda r: photon_pmf(1.0, r, 0.5)(3),
+              lambda r: dss_pmf(0, 1.0, r)],
+        "n_eff": [lambda n: rimp.optimal_threshold(det, n)],
+        "nu": [lambda nu: DetectorModel(1.0, nu, 1), lambda nu: saturation_floor(1, nu),
+               lambda nu: exact_saturation_floor(1, nu)],
+        "symbol": [lambda s: gs.wigner_dss(point, design, s),
+                   lambda s: next(gs.wigner_grid([0.0], [0.0], design, s)),
+                   lambda s: gs.homodyne_pdf(0.0, design, s),
+                   lambda s: ri.ideal_count_pmf(design, s, 3),
+                   lambda s: rimp.detected_count_pmf(design, det, s),
+                   lambda s: rm.mismatch_law(design, res, s),
+                   lambda s: rm.mismatch_count_pmf(design, res, 3, s)],
+        # One-line domain comparisons of their own.
+        "probabilities": [lambda p: ik.ratio_db(p, 0.5), lambda p: ik.ratio_db(0.5, p)],
+        "mu0": [lambda mu: ri.map_threshold_ideal(mu, 2.0)],
+        "mu1": [lambda mu: ri.map_threshold_ideal(0.0, mu)],
+    }
+    return {f"{quantity}:{i}": (quantity, call)
+            for quantity, calls in entries.items() for i, call in enumerate(calls)}
+
+
+INPUT_ENTRY_POINTS = _input_entry_points()
+
+
+@pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
+def test_inputs_are_checked_alike_everywhere(entry):
+    quantity, at = INPUT_ENTRY_POINTS[entry]
+    for value in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match=rf"(^|\W){re.escape(quantity)}\W"):
+            at(value)
+
+
+def test_poisson_mean_takes_the_infinite_limit_and_rejects_the_rest():
+    assert poisson_pmf(0, math.inf) == 0.0
+    for mu in (math.nan, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            poisson_pmf(1, mu)
+
+
 def _numpy_stored(probs, M):
     """What CountDistribution stored when it checked with numpy: asarray,
     the same range and mass checks, then np.clip."""
@@ -540,8 +600,7 @@ class TestPlainFloatConstruction:
         monkeypatch.setattr(receiver_imperfect, "CountDistribution", recording)
         for eta, nu in ((1.0, 0.0), (0.6, 0.0), (0.9, 1e-2), (0.3, 2.0)):
             for law in ((0.0, 0.3, 0.0), (1.5, 0.2, 0.4), (1.4, 0.0, 0.0)):
-                dist = apply_detector_to_pmf(photon_pmf(*law), DetectorModel(eta, nu, M),
-                                             incident_cutoff=4 * M + 400)
+                dist = apply_detector_to_pmf(photon_pmf(*law), DetectorModel(eta, nu, M))
                 assert type(dist.probs) is tuple
                 assert (np.array(dist.probs).tobytes()
                         == _numpy_stored(given_probs[-1], M).tobytes())

@@ -211,7 +211,7 @@ class TestDetectorComposition:
             calls.append(k)
             return INCIDENT[law](k)
 
-        composed = apply_detector_to_pmf(pmf, det, incident_cutoff=cutoff)
+        composed = apply_detector_to_pmf(pmf, det)
         reference, reference_calls = detector_composition(INCIDENT[law], eta, nu, M, cutoff)
         np.testing.assert_allclose(composed.probs, reference, rtol=0, atol=1e-15)
         assert calls == list(range(reference_calls))
