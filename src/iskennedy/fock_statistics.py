@@ -239,7 +239,7 @@ def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], floa
     return _law(complex(A), float(r), float(theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountDistribution:
     """Pmf over detector outcomes 0..M, the last bin lumping all counts >= M: M + 1
     values in [-1e-15, 1 + 1e-12] summing left to right to 1 within 1e-12, from any 1-D

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import nonnegative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalDesign:
     """One point of the alphabet parameterization.
 
@@ -43,7 +43,7 @@ class SignalDesign:
     n_eff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSpacePoint:
     x: float
     p: float
@@ -95,16 +95,15 @@ def wigner_dss(point: PhaseSpacePoint, design: SignalDesign, symbol: int) -> flo
 
 def wigner_grid(xs: list[float], ps: list[float], design: SignalDesign, symbol: int):
     """wigner_dss over xs x ps, one x line (a list over ps) at a time; its terms are
-    hoisted but combined in the same order, so each cell is the same double."""
+    hoisted but combined in the same order, so each cell is the same double.  The
+    symbol and the axes are checked at the call; the lines are made as they are read."""
     if not all(map(math.isfinite, [*xs, *ps])):
         raise ValueError("phase-space coordinates must be finite")
     centre = _mean_x(design, symbol)
     minus_e2r, em2r = -math.exp(2.0 * design.r), math.exp(-2.0 * design.r)
     p_terms = [em2r * p * p for p in ps]
-    for x in xs:
-        dx = x - centre
-        x_term = minus_e2r * dx * dx
-        yield [math.exp(x_term - p_term) / math.pi for p_term in p_terms]
+    x_terms = (minus_e2r * (x - centre) * (x - centre) for x in xs)
+    return ([math.exp(x_term - p_term) / math.pi for p_term in p_terms] for x_term in x_terms)
 
 
 def homodyne_pdf(x: float, design: SignalDesign, symbol: int) -> float:

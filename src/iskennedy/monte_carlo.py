@@ -28,17 +28,17 @@ _SHARD_SIZE = 250_000
 _IDEAL_M = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdealScenario:
     """Perfect receiver; _IDEAL_M only truncates the simulated outcome space."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImperfectScenario:
     det: DetectorModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MismatchScenario:
     mm: MismatchModel
     M: int
@@ -47,7 +47,7 @@ class MismatchScenario:
 Scenario = IdealScenario | ImperfectScenario | MismatchScenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialConfig:
     trials: int
     seed: int
@@ -62,7 +62,8 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Estimate, its uncertainty, and agreement with the closed form."""
+    """Estimate, its uncertainty, and agreement with the closed form; unlike the
+    other records it is not slotted, so vars() spreads it into a table row."""
 
     trials: int
     seed: int

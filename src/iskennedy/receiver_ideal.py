@@ -9,6 +9,7 @@ an integer threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,12 @@ from .errors import UndefinedProblemError, nonnegative
 from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_pmf
 from .gaussian_states import SignalDesign, binary_symbol
 
+# Threshold accept sets kept: every (n_th, M) of a sweep over a few detectors.  Keys
+# are typed, so a float M misses the cache and fails in range() as it does uncached.
+_ACCEPT_SET_CAP = 64
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DecisionProblem:
     """Binary hypothesis test, under equal priors, over a shared truncated outcome space."""
 
@@ -34,12 +39,13 @@ class DecisionProblem:
         return self.dist0.M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRule:
-    """Outcome -> symbol map plus its error budget.
+    """Outcome -> symbol map plus its error budget, a slotted frozen record.
 
     accept_set holds the outcomes mapped to symbol 1.  threshold is set when
-    the rule is of the form {n >= n_th} and None otherwise.
+    the rule is of the form {n >= n_th} and None otherwise; such rules share
+    the one set threshold_accept_set keeps, so compare accept sets with ==.
     """
 
     accept_set: frozenset[int]
@@ -60,7 +66,10 @@ class DecisionRule:
                    p_err=0.5 * (p_fa + p_mi))
 
 
+@functools.lru_cache(maxsize=_ACCEPT_SET_CAP, typed=True)
 def threshold_accept_set(n_th: int, M: int) -> frozenset[int]:
+    """{max(n_th, 0), ..., M}: one shared immutable set per (n_th, M), the last
+    _ACCEPT_SET_CAP kept."""
     return frozenset(range(max(n_th, 0), M + 1))
 
 
@@ -111,7 +120,7 @@ def ratio_to_helstrom(N: float) -> float:
     return 1.0 + math.sqrt(1.0 - E)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkCrossings:
     """Energies where the ideal receiver curve crosses each benchmark."""
 

@@ -28,7 +28,7 @@ from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
 _NU_ONOFF_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectorModel:
     """Photon counter with efficiency eta, dark rate nu, resolution M.
 

@@ -24,7 +24,7 @@ from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MismatchModel:
     """Magnitude error dr and axis error dt (radians) of the inverse squeezer."""
 
@@ -38,7 +38,7 @@ class MismatchModel:
             raise ValueError(f"|delta_theta| must be < pi, got {self.delta_theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualSqueezing:
     """Reduction of transmitter + receiver squeezing to a single operation.
 
@@ -140,8 +140,9 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
         if n not in accept:
             p_mi += p1[n]
     threshold = None
-    if accept == threshold_accept_set(min(accept, default=problem.M + 1), problem.M):
-        threshold = min(accept, default=None)
+    shared = threshold_accept_set(min(accept, default=problem.M + 1), problem.M)
+    if accept == shared:  # a threshold rule keeps the one shared set, not its own copy
+        accept, threshold = shared, min(accept, default=None)
     return DecisionRule.from_rates(accept, threshold, p_fa, p_mi)
 
 

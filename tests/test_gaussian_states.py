@@ -117,6 +117,12 @@ class TestWigner:
         with pytest.raises(ValueError):
             next(wigner_grid([0.0, math.inf], [0.0], d, 1))
 
+    @pytest.mark.parametrize("xs, ps, symbol", [([0.0], [0.0], 5), ([0.0], [0.0], -1),
+                                                ([math.nan], [0.0], 0), ([0.0], [-math.inf], 1)])
+    def test_wigner_grid_checks_its_input_at_the_call(self, xs, ps, symbol):
+        with pytest.raises(ValueError):
+            wigner_grid(xs, ps, design_at_optimal_beta(1.0), symbol)
+
 
 @settings(max_examples=150, deadline=None)
 @given(N=st.floats(0.0, 10.0), beta=st.floats(0.0, 1.0),

@@ -1,11 +1,25 @@
+import copy
+import dataclasses
+import gc
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import iskennedy
 from iskennedy import (
     DecisionProblem,
     DecisionRule,
+    DetectorModel,
+    IdealScenario,
+    ImperfectScenario,
+    MismatchModel,
+    MismatchScenario,
+    PhaseSpacePoint,
+    TrialConfig,
+    TrialReport,
     UndefinedProblemError,
     design_at_optimal_beta,
     hb_dss_opt,
@@ -16,14 +30,17 @@ from iskennedy import (
     map_set_decision,
     map_threshold_ideal,
     p_err_ideal,
+    p_err_imperfect,
     p_err_kennedy,
     ratio_db,
     ratio_to_helstrom,
+    residual,
     sql_cs,
     sql_dss_opt,
     transform_means,
     crossings_vs_benchmarks,
 )
+from iskennedy import receiver_ideal
 from iskennedy.benchmarks import bisect_root
 
 
@@ -168,3 +185,72 @@ class TestDecisionTypes:
         with pytest.raises(ValueError):
             DecisionProblem(dist0=ideal_count_pmf(design, 0, 3),
                             dist1=ideal_count_pmf(design, 1, 4))
+
+
+def _one_of_each_slotted_record():
+    design = design_at_optimal_beta(1.0)
+    det, mm = DetectorModel(eta=0.9, nu=1e-3, M=4), MismatchModel(0.02, 0.03 * math.pi)
+    dists = ideal_count_pmf(design, 0, 4), ideal_count_pmf(design, 1, 4)
+    return [design, PhaseSpacePoint(0.5, -0.25), dists[1], DecisionProblem(*dists),
+            ideal_decision(design, 4), crossings_vs_benchmarks(), det, mm, residual(design, mm),
+            IdealScenario(), ImperfectScenario(det), MismatchScenario(mm, 3),
+            TrialConfig(trials=1000, seed=7, scenario=MismatchScenario(mm, 3))]
+
+
+class TestSlottedRecords:
+    def test_every_record_but_the_trial_report_is_slotted_and_round_trips(self):
+        records = _one_of_each_slotted_record()
+        declared = {obj for obj in vars(iskennedy).values()
+                    if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+        assert {type(record) for record in records} == declared - {TrialReport}
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record)
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.deepcopy(record) == record
+
+    def test_replace_rebuilds_and_rechecks_a_rule(self):
+        rule = ideal_decision(design_at_optimal_beta(1.0), 4)
+        moved = dataclasses.replace(rule, p_mi=0.25, p_err=0.5 * (rule.p_fa + 0.25))
+        assert moved == DecisionRule.from_rates(rule.accept_set, 1, rule.p_fa, 0.25)
+        with pytest.raises(ValueError):
+            dataclasses.replace(rule, p_fa=0.5)
+
+    def test_vars_spreads_a_trial_report(self):
+        values = {field.name: i for i, field in enumerate(dataclasses.fields(TrialReport))}
+        assert vars(TrialReport(**values)) == values
+
+    def test_rules_of_one_threshold_share_one_accept_set(self):
+        design, M = design_at_optimal_beta(1.0), 4
+        det = DetectorModel(eta=0.9, nu=1e-3, M=M)
+        imperfect = [p_err_imperfect(design_at_optimal_beta(N), det) for N in (0.6, 0.7)]
+        problem = DecisionProblem(ideal_count_pmf(design, 0, M), ideal_count_pmf(design, 1, M))
+        rules = imperfect + [ideal_decision(design, M), ideal_decision(make_design(0.3, 0.2), M),
+                             map_set_decision(problem)]
+        assert {rule.threshold for rule in rules} == {1}
+        assert rules[0].accept_set == frozenset(range(1, M + 1))
+        assert len({id(rule.accept_set) for rule in rules}) == 1
+
+    def test_the_accept_set_cache_holds_at_most_its_cap(self):
+        cap = receiver_ideal._ACCEPT_SET_CAP
+        assert receiver_ideal.threshold_accept_set.cache_info().maxsize == cap
+        for M in range(1, 3 * cap):
+            assert receiver_ideal.threshold_accept_set(M, M) == frozenset({M})
+            assert receiver_ideal.threshold_accept_set.cache_info().currsize <= cap
+        receiver_ideal.threshold_accept_set(1, 4)
+        with pytest.raises(TypeError):
+            receiver_ideal.threshold_accept_set(1, 4.0)
+
+    def test_retained_imperfect_rules_stay_small(self):
+        det = DetectorModel(eta=0.9, nu=1e-3, M=4)
+        designs = [design_at_optimal_beta(N) for N in np.linspace(0.05, 3.0, 10_000).tolist()]
+        assert {p_err_imperfect(d, det).threshold for d in designs[::100]} == {1, 2, 3, 4}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [p_err_imperfect(d, det) for d in designs]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 10_000
+        assert held / len(kept) <= 250
