@@ -20,14 +20,14 @@ rows are emitted in sweep order, through `emit` as column blocks (see Writer):
 a Wigner grid one x line at a time, other tables up to 256 rows at a time,
 each distinct float formatted once a table.
 Exit codes: 0 ok, 1 reader closed the pipe, 2 usage error, 3 numerical-
-consistency failure, 4 validation failure.  Usage errors write nothing: an
-option the subcommand does not take, a sweep variable it cannot vary, a
-non-finite number or Wigner grid span, --M < 1, --nmax < 0 and --points or
---trials < 1 are rejected before output, and so is a value a model rejects
-at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A negative value
-may follow its option as a separate word in any float form (--dtheta -1e-3).
-A dB cell is empty at N = 0 and where one of its probabilities underflows
-to 0.
+consistency failure or float overflow, 4 validation failure.  Usage errors
+write nothing: an option the subcommand does not take, a sweep variable it
+cannot vary, a non-finite number or Wigner grid span, --M < 1, --nmax < 0
+and --points or --trials < 1 are rejected before output, and so is a value
+a model rejects at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A
+negative value may follow its option as a separate word in any float form
+(--dtheta -1e-3).  A dB cell is empty at N = 0 and where one of its
+probabilities underflows to 0.
 
 A config file (--config) may hold `key = value` lines mirroring the long
 option names, e.g. `sweep = N:0.1:3.0:30`; explicit flags override it.
@@ -578,6 +578,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:  # an input so large that a float overflows (--N 1e200)
+        print(f"numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

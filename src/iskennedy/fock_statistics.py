@@ -10,11 +10,11 @@ S(r e^{j theta}) D(alpha_c) |0>; its n = 0 element is the vacuum overlap
 (1/cosh r) exp(-|a|^2 + Re[e^{-j theta} a^2] tanh r), and the Hermite
 argument alpha_c e^{-j theta/2} / sqrt(sinh 2r) is the unique scaling for
 which the distribution is normalized (checked against an independent
-Fock-space oracle in the test suite).  photon_pmf shares one law per
-argument triple (A, r, theta), holding the last _LAW_CAP = 8.  A law computes
-each value once, in order of n, and keeps those up to the largest n read (at
-most 4M + 401 through apply_detector_to_pmf at resolution M); extending a law
-holds its own lock, so laws are safe to share between threads.  Plain Python
+Fock-space oracle in the test suite).  A KeptLaw computes each value once, in
+order of n, keeps those up to the largest n read (at most 4M + 401 through
+apply_detector_to_pmf at resolution M) and gives clamp_to_resolution its head
+P(0..M-1) in one read; extending a law holds its own lock, so photon_pmf can
+share one per (A, r, theta), holding the last _LAW_CAP = 8.  Plain Python
 floats throughout: no numpy (see _dss_args for its complex division).
 """
 
@@ -188,25 +188,38 @@ def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
         yield math.exp(log_p)
 
 
-def _kept(values: Iterator[float]) -> Callable[[int], float]:
-    """n -> the n-th of `values`, each computed once and kept.  A read past the
-    end advances `values` under the law's own lock; a warm read only checks n.
-    Once `values` raises, its values so far stay and a read past them re-raises."""
-    probs, lock, failure = [], threading.Lock(), []
+class KeptLaw:
+    """n -> the n-th of `values`, each computed once, kept, and extended under the law's own
+    lock; head(M) reads P(0..M-1) at once.  Once `values` raises, a read past it re-raises."""
 
-    def law(n) -> float:
+    __slots__ = ("_probs", "_values", "_lock", "_failure")
+
+    def __init__(self, values: Iterator[float]):
+        self._probs, self._values, self._lock, self._failure = [], values, threading.Lock(), None
+
+    def __call__(self, n) -> float:
         n = _count(n)
-        if n >= len(probs):
-            with lock:
-                try:
-                    probs.extend(islice(values, max(0, n + 1 - len(probs))))
-                except Exception as exc:
-                    failure.append(exc)
-                if n >= len(probs):
-                    raise failure[0]
-        return probs[n]
+        return (self._probs if n < len(self._probs) else self._extend(n + 1))[n]
 
-    return law
+    def head(self, M: int) -> list[float]:
+        """[P(0), ..., P(M - 1)] as a new list, for a resolution M (not checked here)."""
+        return (self._probs if M <= len(self._probs) else self._extend(M))[:M]
+
+    def _extend(self, size: int) -> list[float]:
+        with self._lock:
+            if self._failure is None:
+                try:
+                    self._probs.extend(islice(self._values, max(0, size - len(self._probs))))
+                except Exception as exc:
+                    self._failure = exc, exc.__traceback__  # so re-raises do not grow it
+            if size > len(self._probs):
+                raise self._failure[0].with_traceback(self._failure[1])
+            return self._probs
+
+
+def poisson_law(mu: float) -> KeptLaw:
+    """Uncached law n -> poisson_pmf(n, mu)."""
+    return KeptLaw(poisson_pmf(n, mu) for n in count())
 
 
 def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
@@ -218,22 +231,19 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     if not 0.0 < r < math.inf:
         raise DegenerateSqueezingError(
             f"dss_pmf requires finite r > 0, got {r!r}; at r = 0 use poisson_pmf(|alpha_c|^2)")
-    return _kept(_dss_values(alpha_c, r, theta))(n)
+    return KeptLaw(_dss_values(alpha_c, r, theta))(n)
 
 
 @functools.lru_cache(maxsize=_LAW_CAP)
-def _law(A: complex, r: float, theta: float) -> Callable[[int], float]:
+def _law(A: complex, r: float, theta: float) -> KeptLaw:
     """Kept law of S(r e^{j theta}) D(A)|0>: Poisson of mean |A|^2 below r = 1e-8,
     the squeezed vacuum at A = 0, else the DSS law.  _law.__wrapped__ builds anew."""
     if nonnegative(r, "r") < _POISSON_CUTOFF_R:
-        mu = abs(A) ** 2
-        return _kept(poisson_pmf(n, mu) for n in count())
-    if A == 0:
-        return _kept(_sv_values(r))
-    return _kept(_dss_values(A, r, theta))
+        return poisson_law(abs(A) ** 2)
+    return KeptLaw(_sv_values(r) if A == 0 else _dss_values(A, r, theta))
 
 
-def photon_pmf(A: complex, r: float, theta: float = 0.0) -> Callable[[int], float]:
+def photon_pmf(A: complex, r: float, theta: float = 0.0) -> KeptLaw:
     """Photon pmf n -> P(n) of S(r e^{j theta}) D(A)|0> (see _law); equal arguments,
     however spelled (0, -0.0, complex(x, -0.0), np.float64), share one kept law."""
     return _law(complex(A), float(r), float(theta))
@@ -266,10 +276,11 @@ class CountDistribution:
 
 
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:
-    """Truncate an unbounded pmf to resolution M, lumping the tail into bin M."""
+    """Truncate an unbounded pmf to resolution M, lumping the tail into bin M; a
+    callable that is not a KeptLaw is read as a fresh one over pmf(0), pmf(1), ..."""
     M = resolution(M)
-    # Read from n = M - 1 down, so that a kept law computes its head in one pass.
-    probs = list(map(pmf, range(M - 1, -1, -1)))[::-1]
+    law = pmf if isinstance(pmf, KeptLaw) else KeptLaw(map(pmf, count()))
+    probs = law.head(M)
     partial = 0.0
     for p in probs:
         partial += p

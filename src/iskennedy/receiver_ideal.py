@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
 from .errors import UndefinedProblemError, nonnegative
-from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_pmf
+from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law
 from .gaussian_states import SignalDesign, binary_symbol
 
 # Threshold accept sets kept: every (n_th, M) of a sweep over a few detectors.  Keys
@@ -81,7 +81,7 @@ def transform_means(design: SignalDesign) -> tuple[float, float]:
 def ideal_count_pmf(design: SignalDesign, symbol: int, M: int) -> CountDistribution:
     """Count statistics behind a perfect detector, truncated to resolution M."""
     mu = transform_means(design)[binary_symbol(symbol)]
-    return clamp_to_resolution(lambda n: poisson_pmf(n, mu), M)
+    return clamp_to_resolution(poisson_law(mu), M)
 
 
 def map_threshold_ideal(mu0: float, mu1: float) -> int:

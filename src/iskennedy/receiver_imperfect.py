@@ -8,18 +8,13 @@ is an integer threshold, clipped at M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import UndefinedProblemError, nonnegative
-from .fock_statistics import (
-    CountDistribution,
-    clamp_to_resolution,
-    poisson_cdf_below,
-    poisson_pmf,
-    poisson_tail_ge,
-    resolution,
-)
+from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_cdf_below,
+                              poisson_law, poisson_tail_ge, resolution)
 from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
 
@@ -49,7 +44,7 @@ class DetectorModel:
 def detected_count_pmf(design: SignalDesign, det: DetectorModel, symbol: int) -> CountDistribution:
     """Poisson(eta * mu_i + nu) truncated to the detector resolution."""
     mu = det.eta * transform_means(design)[binary_symbol(symbol)] + det.nu
-    return clamp_to_resolution(lambda n: poisson_pmf(n, mu), det.M)
+    return clamp_to_resolution(poisson_law(mu), det.M)
 
 
 def optimal_threshold(det: DetectorModel, n_eff: float) -> int:
@@ -65,6 +60,12 @@ def optimal_threshold(det: DetectorModel, n_eff: float) -> int:
     return min(math.ceil(signal / log_ratio), det.M)
 
 
+@functools.lru_cache(maxsize=64, typed=True)  # every (n_th, nu) step of a few detectors
+def _false_alarm(n_th: int, nu: float) -> float:
+    """P(n >= n_th) of the darks alone, kept per typed key; a miss calls poisson_tail_ge."""
+    return poisson_tail_ge(n_th, nu)
+
+
 def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
     """Threshold rule and its exact error rates.
 
@@ -74,7 +75,7 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
     """
     n_th = optimal_threshold(det, design.n_eff)
     mu1 = 4.0 * det.eta * design.n_eff + det.nu
-    p_fa = poisson_tail_ge(n_th, det.nu)
+    p_fa = _false_alarm(n_th, det.nu)
     p_mi = poisson_cdf_below(n_th, mu1)
     return DecisionRule.from_rates(threshold_accept_set(n_th, det.M), n_th, p_fa, p_mi)
 
@@ -122,6 +123,6 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
         log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
                  + j * math.log(det.eta) + lost * math.log1p(-det.eta))
         thinning = np.where(k >= j, np.exp(log_b), 0.0)
-    dark = np.array([poisson_pmf(n, det.nu) for n in range(M)])
+    dark = np.array(poisson_law(det.nu).head(M))
     detected = np.convolve(thinning @ np.array(incident), dark)[:M]
     return CountDistribution(probs=np.append(detected, max(0.0, 1.0 - detected.sum())), M=M)

@@ -13,13 +13,13 @@ single threshold.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import nonnegative
-from .fock_statistics import (CountDistribution, clamp_to_resolution, photon_pmf, resolution,
-                              sv_tail_ge)
+from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, photon_pmf,
+                              resolution, sv_tail_ge)
 from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
 
@@ -74,8 +74,14 @@ def _wrap_angle(t: float) -> float:
 
 
 def residual(design: SignalDesign, mm: MismatchModel) -> ResidualSqueezing:
-    """Residual squeezing of the full receiver chain for a given signal design."""
-    x, y = bogoliubov(design.r, mm)
+    """Residual squeezing of the full receiver chain for a given signal design, reduced
+    once per (design.r, mm): the last 8 are kept, room for a few operating points."""
+    return _reduction(design.r, mm)
+
+
+@functools.lru_cache(maxsize=8)
+def _reduction(r: float, mm: MismatchModel) -> ResidualSqueezing:
+    x, y = bogoliubov(r, mm)
     r_m = math.asinh(abs(y))
     vartheta = -cmath.phase(x)
     if abs(y) == 0.0:
@@ -107,8 +113,7 @@ def first_order_residual(r: float, mm: MismatchModel) -> tuple[float, float]:
     return r_m, _wrap_angle(theta_m)
 
 
-def mismatch_law(design: SignalDesign, res: ResidualSqueezing,
-                 symbol: int) -> Callable[[int], float]:
+def mismatch_law(design: SignalDesign, res: ResidualSqueezing, symbol: int) -> KeptLaw:
     """Unbounded photon pmf n -> P(n | symbol) behind the mismatched receiver.
 
     Symbol 0 sees S(r_m e^{j theta_m})|0>, symbol 1 S(r_m e^{j theta_m})

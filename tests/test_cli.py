@@ -290,6 +290,27 @@ def test_reader_closing_the_pipe_ends_the_run_quietly(unbuffered):
     assert err == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["mismatch", "--dr", "800"],
+    ["mismatch", "--N", "1e200"],
+    ["populations", "--N", "1e300"],
+    ["populations", "--N", "1e200", "--stage", "input"],
+])
+def test_an_overflow_is_a_numerical_failure_with_one_line(args, capsys):
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical overflow: ") and err.count("\n") == 1
+
+
+def test_an_overflow_exits_3_without_a_traceback():
+    proc = subprocess.run([sys.executable, "-m", "iskennedy.cli", "mismatch", "--N", "1e200"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numerical overflow: ") and proc.stderr.count("\n") == 1
+
+
 # --- usage errors write nothing ------------------------------------------------
 
 def assert_usage_error_writes_nothing(args, tmp_path):

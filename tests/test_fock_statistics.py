@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -361,12 +363,54 @@ class TestKeptLaws:
             yield 0.25
             raise failure
 
-        law = fock_statistics._kept(values())
+        law = fock_statistics.KeptLaw(values())
         for n in (5, 2, 30, 3):
             with pytest.raises(OverflowError) as raised:
                 law(n)
             assert raised.value is failure
         assert (law(0), law(1)) == (0.5, 0.25)
+
+    def test_head_past_a_failing_generator_reraises_its_exception(self):
+        failure = OverflowError("value 2")
+
+        def values():
+            yield 0.5
+            yield 0.25
+            raise failure
+
+        law = fock_statistics.KeptLaw(values())
+        for M in (5, 3, 30):
+            with pytest.raises(OverflowError) as raised:
+                law.head(M)
+            assert raised.value is failure
+        assert (law.head(2), law.head(1)) == ([0.5, 0.25], [0.5])
+
+    def test_reading_a_failed_law_again_does_not_grow_its_traceback(self):
+        fock_statistics._law.cache_clear()
+        law = photon_pmf(1e200, 0.5)  # |A|^2 overflows before the first value
+        depths = []
+        for _ in range(200):
+            with pytest.raises(OverflowError) as raised:
+                law.head(3) if len(depths) % 2 else law(0)
+            depths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+        assert max(depths) <= min(depths) + 1
+
+    def test_a_law_over_a_resumable_iterator_does_not_resume_past_its_failure(self):
+        # map() would go on at n = 3 after pmf(2) raised, and put P(3) at index 2.
+        failure, reads = ValueError("n = 2"), []
+
+        def pmf(n):
+            reads.append(n)
+            if n == 2:
+                raise failure
+            return 0.25
+
+        law = fock_statistics.KeptLaw(map(pmf, itertools.count()))
+        for read in (lambda: law.head(4), lambda: law(2), lambda: law.head(3)):
+            with pytest.raises(ValueError) as raised:
+                read()
+            assert raised.value is failure
+        assert reads == [0, 1, 2] and law.head(2) == [0.25, 0.25]
 
     def test_a_dss_law_that_overflows_raises_at_every_read(self):
         fock_statistics._law.cache_clear()
@@ -381,6 +425,94 @@ class TestKeptLaws:
             photon_pmf(0.1 * i, 0.3, 0.0)(5)
             assert fock_statistics._law.cache_info().currsize == min(
                 i + 1, fock_statistics._LAW_CAP)
+
+    @given(st.sampled_from(["poisson", "sv", "dss"]), st.floats(-6.0, 6.0),
+           st.floats(1e-8, 3.0), st.floats(-math.pi, math.pi),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 440)), min_size=1, max_size=8),
+           st.randoms(use_true_random=False))
+    @example("sv", 0.0, 0.02, 0.0, [(True, 1), (True, 3), (False, 2)], random.Random(0))
+    @example("dss", 3.0, 2.5, 3.14159, [(False, 300), (True, 441)], random.Random(1))
+    @example("poisson", 1e150, 0.0, 0.0, [(True, 31), (False, 2)], random.Random(2))
+    @settings(max_examples=60, deadline=None)
+    def test_head_is_the_law_read_per_n_and_a_fresh_build(self, branch, a, r, theta, reads,
+                                                          rnd):
+        """head(M) == [law(n) for n < M] == a fresh law's head and per-n reads, bit for
+        bit, on a fresh or warm law, whatever was read before and in what order."""
+        if branch == "sv":
+            a = 0.0
+        elif branch == "poisson":
+            r = 0.0
+        assume(branch != "dss" or a != 0)
+        fock_statistics._law.cache_clear()
+        law = photon_pmf(a, r, theta)
+        for is_head, k in reads:
+            M = max(k, 1)
+            if not is_head:
+                law(k)
+                continue
+            head = law.head(M)
+            fresh, shuffled = (fock_statistics._law.__wrapped__(a, r, theta) for _ in "ab")
+            order = list(range(M))
+            rnd.shuffle(order)
+            by_n = {n: shuffled(n) for n in order}
+            want = [repr(v) for v in fresh.head(M)]
+            assert [repr(v) for v in head] == want
+            assert [repr(law(n)) for n in range(M)] == want
+            assert [repr(by_n[n]) for n in range(M)] == want
+            assert law.head(M) == head and law.head(M) is not head
+
+    @pytest.mark.parametrize("M", [1, 3, 10, 40, 200])
+    @pytest.mark.parametrize("arg", [(2.5, 0.0, 0.0), (0.0, 0.4, 0.0), (1.2 - 0.3j, 0.4, 0.5),
+                                     (3.0 + 3.0j, 2.5, 3.14159)])
+    def test_clamping_a_plain_callable_equals_the_law_path(self, arg, M):
+        fresh = fock_statistics._law.__wrapped__(*arg)
+        by_callable = clamp_to_resolution(lambda n: fresh(n), M).probs
+        by_law = clamp_to_resolution(photon_pmf(*arg), M).probs
+        assert list(map(repr, by_callable)) == list(map(repr, by_law))
+        if arg[1] == 0.0:
+            mu = abs(arg[0]) ** 2
+            by_lambda = clamp_to_resolution(lambda n: poisson_pmf(n, mu), M).probs
+            by_poisson_law = clamp_to_resolution(fock_statistics.poisson_law(mu), M).probs
+            assert list(map(repr, by_lambda)) == list(map(repr, by_poisson_law)) == list(
+                map(repr, by_law))
+
+    def test_threads_reading_heads_and_values_agree_with_one_thread(self):
+        args = [(1.7 + 0.4j, 0.3, 0.8), (0.0, 0.9, 0.0), (2.0, 0.0, 0.0)]
+        want = [fock_statistics._law.__wrapped__(*arg).head(441) for arg in args]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(10):
+                fock_statistics._law.cache_clear()
+                laws = [photon_pmf(*arg) for arg in args]
+                start = threading.Barrier(4, timeout=60)
+                errors, bad = [], []
+
+                def read(seed):
+                    draw = random.Random(seed)
+                    start.wait()
+                    try:
+                        for _ in range(200):
+                            i, k = draw.randrange(len(laws)), draw.randrange(1, 442)
+                            if draw.random() < 0.5:
+                                ok = laws[i].head(k) == want[i][:k]
+                            else:
+                                ok = laws[i](k - 1) == want[i][k - 1]
+                            if not ok:
+                                bad.append((i, k))
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read, args=(100 * rnd + k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == [] and bad == []
+                assert [law.head(441) for law in laws] == want
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_threads_read_shared_laws_as_one_thread_does(self):
         args = [(1.7 + 0.4j, 0.3, 0.8), (0.0, 0.9, 0.0)]

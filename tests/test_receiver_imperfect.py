@@ -18,7 +18,8 @@ from iskennedy import (
     saturation_floor,
     sv_pmf,
 )
-from iskennedy.fock_statistics import photon_pmf
+from iskennedy import receiver_imperfect
+from iskennedy.fock_statistics import photon_pmf, poisson_tail_ge
 from iskennedy.receiver_imperfect import apply_detector_to_pmf
 
 from oracles import detector_composition
@@ -129,6 +130,54 @@ class TestErrorProbability:
         mi = sum(poisson_pmf(n, mu1) for n in range(0, rule.threshold))
         assert rule.p_fa == pytest.approx(fa, abs=1e-13)
         assert rule.p_mi == pytest.approx(mi, abs=1e-13)
+
+
+class TestFalseAlarmCache:
+    """p_err_imperfect takes p_fa from a typed cache of the last 64 (n_th, nu)."""
+
+    def test_cache_holds_at_most_its_cap(self):
+        cache = receiver_imperfect._false_alarm
+        assert cache.cache_info().maxsize == 64
+        cache.cache_clear()
+        design = design_at_optimal_beta(1.0)
+        for i in range(200):
+            p_err_imperfect(design, DetectorModel(1.0, 1e-3 * (i + 1), 1 + i % 7))
+            assert cache.cache_info().currsize <= 64
+
+    @pytest.mark.parametrize("nu", [0, 0.0, -0.0, np.float64(0.0), 1e-13, 1e-3,
+                                    np.float64(1e-3), 0.3, 2])
+    def test_cached_tails_equal_uncached_ones_for_every_spelling(self, nu):
+        receiver_imperfect._false_alarm.cache_clear()
+        for N in (0.01, 0.3, 1.0, 2.5):
+            design = design_at_optimal_beta(N)
+            for M in (1, 2, 5, 10):
+                det = DetectorModel(0.9, nu, M)
+                want = repr(poisson_tail_ge(optimal_threshold(det, design.n_eff), nu))
+                for _ in "cold", "warm":
+                    assert repr(p_err_imperfect(design, det).p_fa) == want
+
+    def test_int_and_float_dark_rates_keep_their_own_entries(self):
+        cache = receiver_imperfect._false_alarm
+        cache.cache_clear()
+        design = design_at_optimal_beta(1.0)
+        for nu in (0, 0.0, 0, 0.0):
+            p_err_imperfect(design, DetectorModel(1.0, nu, 3))
+        assert cache.cache_info().currsize == 2
+
+    def test_a_miss_calls_the_module_s_tail(self, monkeypatch):
+        calls = []
+
+        def counted(k, mu):
+            calls.append((k, mu))
+            return poisson_tail_ge(k, mu)
+
+        monkeypatch.setattr(receiver_imperfect, "poisson_tail_ge", counted)
+        receiver_imperfect._false_alarm.cache_clear()
+        design = design_at_optimal_beta(1.0)
+        for det in [DetectorModel(1.0, 1e-2, 10)] * 3 + [DetectorModel(0.5, 1e-3, 1)] * 2:
+            p_err_imperfect(design, det)
+        assert calls == [(optimal_threshold(DetectorModel(1.0, 1e-2, 10), design.n_eff), 1e-2),
+                         (1, 1e-3)]
 
 
 class TestSaturation:

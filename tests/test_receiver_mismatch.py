@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -24,6 +25,8 @@ from iskennedy import (
     residual,
     spd_mismatch_error,
 )
+
+from iskennedy import receiver_mismatch as rm
 
 from oracles import fock_pmf, receiver_output_pmf, squeeze, squeezed_displaced_pmf, vacuum
 
@@ -109,6 +112,45 @@ class TestResidual:
         composite = squeeze(z_s, dim) @ squeeze(d.r, dim) @ vacuum(dim)
         direct = squeeze(res.r_m * cmath.exp(1j * res.theta_m), dim) @ vacuum(dim)
         np.testing.assert_allclose(fock_pmf(composite), fock_pmf(direct), atol=1e-12)
+
+
+class TestResidualCache:
+    """residual keeps the last 8 reductions, keyed by (design.r, mm); each equals an
+    uncached reduction (rm._reduction.__wrapped__) bit for bit."""
+
+    def test_cache_holds_at_most_its_cap(self):
+        cache = rm._reduction
+        assert cache.cache_info().maxsize == 8
+        cache.cache_clear()
+        for i in range(40):
+            residual(design_at_optimal_beta(0.1 * i), MismatchModel(0.02, 0.01 * (i % 3)))
+            assert cache.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("dr", [0.0, -0.0, 0, 0.02, -0.3, 1e-300])
+    @pytest.mark.parametrize("dt", [0.0, -0.0, 0, 0.0942477796, -3.0])
+    def test_cached_reductions_equal_uncached_ones_for_every_spelling(self, dr, dt):
+        for N in (0.0, 1e-9, 0.3, 1.0, 3.0):
+            design = design_at_optimal_beta(N)
+            spellings = [design.r, np.float64(design.r)] + ([0, -0.0] if design.r == 0 else [])
+            equal_dts = [dt, np.float64(dt)] + ([-dt, 0] if dt == 0 else [])
+            rm._reduction.cache_clear()
+            for r in spellings:
+                for t in equal_dts:
+                    mm = MismatchModel(dr, t)
+                    got = residual(dataclasses.replace(design, r=r), mm)
+                    assert repr(got) == repr(rm._reduction.__wrapped__(r, mm))
+            assert rm._reduction.cache_info().currsize == 1
+
+    def test_resolutions_of_one_point_share_one_reduction(self):
+        rm._reduction.cache_clear()
+        design, mm = design_at_optimal_beta(1.3), MismatchModel(0.02, 0.03 * math.pi)
+        rules = [p_err_mismatch(design, mm, M) for M in (1, 3, 10, 40, 200)]
+        info = rm._reduction.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        assert [r.p_err for r in rules] == [
+            map_set_decision(DecisionProblem(
+                *(mismatch_count_pmf(design, rm._reduction.__wrapped__(design.r, mm), M, s)
+                  for s in (0, 1)))).p_err for M in (1, 3, 10, 40, 200)]
 
 
 class TestFirstOrderResidual:
