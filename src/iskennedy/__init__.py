@@ -21,7 +21,6 @@ from .errors import (
     BracketError,
     DegenerateSqueezingError,
     NumericalConsistencyError,
-    UndefinedProblemError,
 )
 from .fock_statistics import (
     CountDistribution,

@@ -19,10 +19,6 @@ class BracketError(RuntimeError):
     """A root bracket shows no sign change; the search cannot proceed."""
 
 
-class UndefinedProblemError(ValueError):
-    """The decision problem is degenerate (identical hypotheses)."""
-
-
 def nonnegative(value, name: str):
     """`value`, if it is finite and >= 0; else ValueError naming the quantity."""
     if not 0.0 <= value < math.inf:

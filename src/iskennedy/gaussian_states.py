@@ -79,7 +79,10 @@ def make_design(N: float, beta: float) -> SignalDesign:
     alpha = math.sqrt(N * (1.0 - beta))
     r = math.asinh(math.sqrt(N * beta))
     gamma = alpha * math.exp(r)
-    return SignalDesign(N=N, beta=beta, alpha=alpha, r=r, gamma=gamma, n_eff=gamma * gamma)
+    n_eff = gamma * gamma
+    if n_eff == math.inf:
+        raise OverflowError(f"the effective photon number overflows at N = {N!r}")
+    return SignalDesign(N=N, beta=beta, alpha=alpha, r=r, gamma=gamma, n_eff=n_eff)
 
 
 def design_at_optimal_beta(N: float) -> SignalDesign:
@@ -88,15 +91,13 @@ def design_at_optimal_beta(N: float) -> SignalDesign:
 
 def wigner_dss(point: PhaseSpacePoint, design: SignalDesign, symbol: int) -> float:
     """Wigner density (1/pi) exp{-e^2r (x -/+ sqrt(2)a)^2 - e^-2r p^2} at a point."""
-    dx = point.x - _mean_x(design, symbol)
-    expo = -math.exp(2.0 * design.r) * dx * dx - math.exp(-2.0 * design.r) * point.p * point.p
-    return math.exp(expo) / math.pi
+    return next(wigner_grid([point.x], [point.p], design, symbol))[0]
 
 
 def wigner_grid(xs: list[float], ps: list[float], design: SignalDesign, symbol: int):
-    """wigner_dss over xs x ps, one x line (a list over ps) at a time; its terms are
-    hoisted but combined in the same order, so each cell is the same double.  The
-    symbol and the axes are checked at the call; the lines are made as they are read."""
+    """The Wigner density over xs x ps, one x line (a list over ps) at a time, with
+    the x and p terms hoisted.  The symbol and the axes are checked at the call;
+    the lines are made as they are read."""
     if not all(map(math.isfinite, [*xs, *ps])):
         raise ValueError("phase-space coordinates must be finite")
     centre = _mean_x(design, symbol)

@@ -19,7 +19,8 @@ import numbers
 from dataclasses import dataclass
 
 from .gaussian_states import SignalDesign
-from .receiver_ideal import DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision
+from .receiver_ideal import (DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision,
+                             transform_means)
 from .receiver_imperfect import DetectorModel, detected_count_pmf, p_err_imperfect
 from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_count_pmf, residual
 
@@ -154,12 +155,12 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
     ImperfectScenario validates the Poisson(eta mu + nu) model.
     """
     import numpy as np
-    mu1 = 4.0 * design.n_eff
+    mu0, mu1 = transform_means(design)
     rule = p_err_imperfect(design, det)
     accept = np.array([n in rule.accept_set for n in range(det.M + 1)])
 
     def decide(rng, symbols):
-        incident = rng.poisson(np.where(symbols == 1, mu1, 0.0))
+        incident = rng.poisson(np.where(symbols == 1, mu1, mu0))
         detected = rng.binomial(incident, det.eta) + rng.poisson(det.nu, size=symbols.size)
         return accept[np.minimum(detected, det.M)]
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
-from .errors import UndefinedProblemError, nonnegative
+from .errors import nonnegative
 from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law
 from .gaussian_states import SignalDesign, binary_symbol
 
@@ -84,16 +84,24 @@ def ideal_count_pmf(design: SignalDesign, symbol: int, M: int) -> CountDistribut
     return clamp_to_resolution(poisson_law(mu), M)
 
 
-def map_threshold_ideal(mu0: float, mu1: float) -> int:
-    """Smallest count deciding symbol 1: ceil((mu1-mu0)/(ln mu1 - ln mu0)).
-
-    The mu0 -> 0 limit of the ratio is 0+, so the threshold is 1 there.
-    """
-    if not 0.0 <= mu0 < mu1 < math.inf:
-        raise ValueError(f"need finite mu1 > mu0 >= 0, got ({mu0!r}, {mu1!r})")
+def _map_threshold(mu0: float, signal: float) -> int:
+    """Smallest n >= 1 where Poisson(mu0 + signal) is as likely as Poisson(mu0) or more:
+    ceil(signal / ln(1 + signal/mu0)).  It is 1 at mu0 = 0 and where signal/mu0
+    overflows, and the continuous limit ceil(mu0) where signal/mu0 underflows."""
     if mu0 == 0.0:
         return 1
-    return math.ceil((mu1 - mu0) / (math.log(mu1) - math.log(mu0)))
+    log_ratio = math.log1p(signal / mu0)
+    if log_ratio == 0.0:
+        return math.ceil(mu0)
+    return math.ceil(signal / log_ratio) or 1  # 0 only where signal/mu0 overflows
+
+
+def map_threshold_ideal(mu0: float, mu1: float) -> int:
+    """Smallest count deciding Poisson(mu1) over Poisson(mu0): ceil((mu1 - mu0) /
+    ln(1 + (mu1 - mu0)/mu0)), 1 at mu0 = 0; accurate where ln mu1 - ln mu0 would cancel."""
+    if not 0.0 <= mu0 < mu1 < math.inf:
+        raise ValueError(f"need finite mu1 > mu0 >= 0, got ({mu0!r}, {mu1!r})")
+    return _map_threshold(mu0, mu1 - mu0)
 
 
 def p_err_ideal(N: float) -> float:
@@ -139,9 +147,8 @@ def crossings_vs_benchmarks() -> BenchmarkCrossings:
 
 
 def ideal_decision(design: SignalDesign, M: int) -> DecisionRule:
-    """Threshold-1 rule with its exact error rates over the truncated space."""
-    mu0, mu1 = transform_means(design)
-    if mu1 <= mu0:
-        raise UndefinedProblemError("hypotheses are identical at zero energy")
-    p_mi = math.exp(-mu1)  # P(n = 0 | symbol 1)
+    """Threshold-1 rule, the MAP rule at mu0 = 0, with its exact error rates over
+    the truncated space.  At zero energy both hypotheses are the vacuum and the
+    rule errs half the time (p_err 0.5)."""
+    p_mi = math.exp(-transform_means(design)[1])  # P(n = 0 | symbol 1)
     return DecisionRule.from_rates(threshold_accept_set(1, M), 1, 0.0, p_mi)

@@ -12,15 +12,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedProblemError, nonnegative
+from .errors import nonnegative
 from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_cdf_below,
                               poisson_law, poisson_tail_ge, resolution)
 from .gaussian_states import SignalDesign, binary_symbol
-from .receiver_ideal import DecisionRule, threshold_accept_set, transform_means
-
-# Below this dark rate the threshold formula's denominator blows up and the
-# rule is plain on-off detection.
-_NU_ONOFF_CUTOFF = 1e-12
+from .receiver_ideal import DecisionRule, _map_threshold, threshold_accept_set, transform_means
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,16 +44,9 @@ def detected_count_pmf(design: SignalDesign, det: DetectorModel, symbol: int) ->
 
 
 def optimal_threshold(det: DetectorModel, n_eff: float) -> int:
-    """MAP threshold min{ceil(4 eta n_eff / ln(1 + 4 eta n_eff / nu)), M}."""
-    signal = 4.0 * det.eta * nonnegative(n_eff, "n_eff")
-    if det.nu < _NU_ONOFF_CUTOFF:
-        if signal == 0.0:
-            raise UndefinedProblemError("no signal and no dark counts: nothing to decide")
-        return 1
-    log_ratio = math.log1p(signal / det.nu)
-    if log_ratio == 0.0:  # signal -> 0, or signal/nu underflows: the continuous limit
-        return min(max(1, math.ceil(det.nu)), det.M)
-    return min(math.ceil(signal / log_ratio), det.M)
+    """MAP threshold min{ceil(4 eta n_eff / ln(1 + 4 eta n_eff / nu)), M}: 1 at
+    nu = 0, also at zero energy, where both hypotheses are the vacuum."""
+    return min(_map_threshold(det.nu, 4.0 * det.eta * nonnegative(n_eff, "n_eff")), det.M)
 
 
 @functools.lru_cache(maxsize=64, typed=True)  # every (n_th, nu) step of a few detectors
@@ -73,10 +62,12 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
     threshold; misses are the lower tail of the signal+dark mean.  Lumping
     counts >= M into one bin changes neither tail for thresholds <= M.
     """
-    n_th = optimal_threshold(det, design.n_eff)
-    mu1 = 4.0 * det.eta * design.n_eff + det.nu
+    signal = 4.0 * det.eta * nonnegative(design.n_eff, "n_eff")
+    n_th = _map_threshold(det.nu, signal)  # optimal_threshold inline, with no min() call
+    if n_th > det.M:
+        n_th = det.M
     p_fa = _false_alarm(n_th, det.nu)
-    p_mi = poisson_cdf_below(n_th, mu1)
+    p_mi = poisson_cdf_below(n_th, signal + det.nu)
     return DecisionRule.from_rates(threshold_accept_set(n_th, det.M), n_th, p_fa, p_mi)
 
 

@@ -56,6 +56,17 @@ def test_bounds_zero_energy_row():
     assert row["db_sql_cs_vs_hb_cs"] == ""
 
 
+@pytest.mark.parametrize("args", [["detector", "--N", "0"],
+                                  ["thresholds", "--sweep", "N:0:3:4", "--M", "3"]])
+def test_detector_zero_energy_row_is_a_coin_flip(args):
+    # No signal and no darks: both hypotheses are the vacuum, as in `ideal --N 0`.
+    code, out = run_cli(args)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert (float(row["N"]), row["n_threshold"], float(row["p_err"])) == (0.0, "1", 0.5)
+    assert row.get("db_vs_sql_dss", "") == ""
+
+
 def test_bounds_crossover_row():
     code, out = run_cli(["bounds", "--N", "0.659"])
     row = parse_csv(out)[0]
@@ -295,6 +306,10 @@ def test_reader_closing_the_pipe_ends_the_run_quietly(unbuffered):
     ["mismatch", "--N", "1e200"],
     ["populations", "--N", "1e300"],
     ["populations", "--N", "1e200", "--stage", "input"],
+    ["detector", "--N", "1e300"],  # a finite N whose effective photon number overflows
+    ["detector", "--N", "1e160"],
+    ["thresholds", "--N", "1e300", "--nu", "1e-2", "--M", "3"],
+    ["wigner", "--N", "1e300"],
 ])
 def test_an_overflow_is_a_numerical_failure_with_one_line(args, capsys):
     assert main(args) == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestMakeDesign:
     @pytest.mark.parametrize("N,beta", [(-1.0, 0.5), (1.0, -0.01), (1.0, 1.01)])
     def test_domain_errors(self, N, beta):
         with pytest.raises(ValueError):
+            make_design(N, beta)
+
+    @pytest.mark.parametrize("N,beta", [(1e160, 0.5), (1e300, 0.5), (1.7e308, 0.01)])
+    def test_an_overflowing_effective_photon_number_names_n(self, N, beta):
+        with pytest.raises(OverflowError, match=re.escape(f"at N = {N!r}")):
             make_design(N, beta)
 
     def test_energy_bookkeeping_on_grid(self):

@@ -20,7 +20,6 @@ from iskennedy import (
     PhaseSpacePoint,
     TrialConfig,
     TrialReport,
-    UndefinedProblemError,
     design_at_optimal_beta,
     hb_dss_opt,
     helstrom_cs,
@@ -79,6 +78,10 @@ class TestMapThreshold:
     def test_closed_form_cases(self):
         assert map_threshold_ideal(1.0, math.e) == 2
         assert map_threshold_ideal(2.0, 4.0) == 3
+
+    def test_nearly_equal_means(self):
+        # The quotient is 115.93201786713777 (mpmath); d / (ln mu1 - ln mu0) cancels to 114.8.
+        assert map_threshold_ideal(115.9320178671369, 115.93201786713864) == 116
 
     def test_ordering_error(self):
         with pytest.raises(ValueError):
@@ -165,9 +168,11 @@ class TestThresholdEquivalence:
         assert brute.threshold == 1
         assert abs(brute.p_err - rule.p_err) <= 1e-14
 
-    def test_zero_energy_is_undefined(self):
-        with pytest.raises(UndefinedProblemError):
-            ideal_decision(make_design(0.0, 0.0), 4)
+    def test_zero_energy_is_a_coin_flip(self):
+        # Both hypotheses are the vacuum: the threshold-1 rule misses every symbol 1.
+        rule = ideal_decision(make_design(0.0, 0.0), 4)
+        assert (rule.accept_set, rule.threshold) == (frozenset({1, 2, 3, 4}), 1)
+        assert (rule.p_fa, rule.p_mi, rule.p_err) == (0.0, 1.0, 0.5)
 
 
 class TestDecisionTypes:

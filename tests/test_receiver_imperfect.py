@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from iskennedy import (
     DecisionProblem,
     DetectorModel,
-    UndefinedProblemError,
     design_at_optimal_beta,
     detected_count_pmf,
     exact_saturation_floor,
@@ -20,6 +21,7 @@ from iskennedy import (
 )
 from iskennedy import receiver_imperfect
 from iskennedy.fock_statistics import photon_pmf, poisson_tail_ge
+from iskennedy.receiver_ideal import _map_threshold
 from iskennedy.receiver_imperfect import apply_detector_to_pmf
 
 from oracles import detector_composition
@@ -80,9 +82,17 @@ class TestOptimalThreshold:
         det = DetectorModel(eta=1.0, nu=1e-2, M=10)
         assert optimal_threshold(det, 2.0) == 2
 
-    def test_undefined_problem(self):
-        with pytest.raises(UndefinedProblemError):
-            optimal_threshold(DetectorModel(eta=1.0, nu=0.0, M=3), 0.0)
+    def test_zero_energy_without_darks_is_a_coin_flip(self):
+        det = DetectorModel(eta=1.0, nu=0.0, M=3)
+        assert optimal_threshold(det, 0.0) == 1
+        rule = p_err_imperfect(design_at_optimal_beta(0.0), det)
+        assert (rule.threshold, rule.p_fa, rule.p_mi, rule.p_err) == (1, 0.0, 1.0, 0.5)
+
+    def test_rule_at_its_edges(self):
+        assert _map_threshold(0.0, 8.0) == _map_threshold(0.0, 0.0) == 1  # no darks
+        assert _map_threshold(5e-324, 8.0) == 1  # signal/mu0 overflows; the quotient is 0.01
+        assert _map_threshold(3.5, 0.0) == 4 and _map_threshold(0.2, 0.0) == 1  # no signal
+        assert _map_threshold(1e300, 1e-300) == math.ceil(1e300)  # signal/mu0 underflows
 
     def test_nondecreasing_staircase(self):
         det = DetectorModel(eta=0.9, nu=1e-2, M=10)
@@ -130,6 +140,33 @@ class TestErrorProbability:
         mi = sum(poisson_pmf(n, mu1) for n in range(0, rule.threshold))
         assert rule.p_fa == pytest.approx(fa, abs=1e-13)
         assert rule.p_mi == pytest.approx(mi, abs=1e-13)
+
+
+dark_rates = st.just(0.0) | st.floats(1e-15, 1.0)
+
+
+@given(N=st.floats(0.05, 3.0), eta=st.floats(0.3, 1.0), nu=dark_rates, M=st.integers(1, 10))
+@example(N=3.0, eta=1.0, nu=1e-13, M=10)  # a dark rate below 1e-12 still moves the threshold
+@settings(max_examples=300, deadline=None)
+def test_threshold_rule_is_the_map_rule(N, eta, nu, M):
+    design, det = design_at_optimal_beta(N), DetectorModel(eta, nu, M)
+    rule = p_err_imperfect(design, det)
+    dist0, dist1 = (detected_count_pmf(design, det, s) for s in (0, 1))
+    for n in (rule.threshold - 1, rule.threshold):  # the last outcome rejected, the first accepted
+        if 0 <= n <= M and dist0.probs[n] > 0.0:
+            assume(abs(dist1.probs[n] / dist0.probs[n] - 1.0) > 1e-9)
+    assert rule.accept_set == map_set_decision(DecisionProblem(dist0, dist1)).accept_set
+
+
+@given(N=st.floats(0.05, 3.0), eta=st.floats(0.3, 1.0), M=st.integers(1, 10),
+       nus=st.tuples(dark_rates, dark_rates))
+@example(N=3.0, eta=1.0, M=10, nus=(0.999e-12, 1e-12))
+@settings(max_examples=300, deadline=None)
+def test_more_dark_counts_never_lower_the_error(N, eta, M, nus):
+    # Extra darks are an independent added count: they can only garble the decision.
+    design = design_at_optimal_beta(N)
+    p_low, p_high = (p_err_imperfect(design, DetectorModel(eta, nu, M)).p_err for nu in sorted(nus))
+    assert p_high >= p_low * (1.0 - 1e-12)
 
 
 class TestFalseAlarmCache:
