@@ -11,7 +11,6 @@ import math
 from typing import Callable
 
 from .errors import BracketError, nonnegative
-from .gaussian_states import design_at_optimal_beta
 
 
 def _helstrom_from_overlap_exponent(x: float) -> float:
@@ -92,10 +91,5 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float =
 
 def crossover_sql_dss_vs_hb_cs() -> float:
     """Energy at which the squeezed-alphabet homodyne limit meets the
-    coherent-state Helstrom bound (about N = 0.659)."""
-
-    def gap(N: float) -> float:
-        d = design_at_optimal_beta(N)
-        return sql_dss(d.alpha, d.r) - helstrom_cs(N)
-
-    return bisect_root(gap, 0.1, 2.0)
+    coherent-state Helstrom bound at the optimal split (about N = 0.659)."""
+    return bisect_root(lambda N: sql_dss_opt(N) - helstrom_cs(N), 0.1, 2.0)

@@ -15,7 +15,7 @@ order of n, keeps those up to the largest n read (at most 4M + 401 through
 apply_detector_to_pmf at resolution M) and gives clamp_to_resolution its head
 P(0..M-1) in one read; extending a law holds its own lock, so photon_pmf can
 share one per (A, r, theta), holding the last _LAW_CAP = 8.  Plain Python
-floats throughout: no numpy (see _dss_args for its complex division).
+floats throughout: no numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .errors import DegenerateSqueezingError, NumericalConsistencyError, nonnegative
+from .errors import DegenerateSqueezingError, NumericalConsistencyError, finite, nonnegative
 
 # Partial pmf mass may exceed 1 by accumulated rounding; anything above this
 # slack indicates a real bug in the pmf, not rounding.
@@ -69,8 +69,8 @@ def poisson_pmf(n: int, mu: float) -> float:
     if not mu >= 0:  # mu = +inf is the limit where every value is 0
         raise ValueError(f"Poisson mean must be >= 0, got {mu!r}")
     n = _count(n)
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
+    if not 0.0 < mu < math.inf:  # the limits: all mass at n = 0 (mu = 0), none anywhere (inf)
+        return 1.0 if n == 0 and mu == 0.0 else 0.0
     if n <= 20:
         try:
             return math.exp(-mu) * mu ** n / math.factorial(n)
@@ -155,19 +155,12 @@ def sv_tail_ge(n_min: int, r: float) -> float:
                      r, t2, -0.5 * t2)[1]
 
 
-def _dss_args(A: complex, r: float, theta: float) -> tuple[complex, float]:
-    """(2z, Re[e^{-j theta} A^2] tanh r), z = A e^{-j theta/2} / sqrt(sinh 2r), in the bits the
-    golden tables pin: z divides as numpy does, times the reciprocal with 0.0 cross terms."""
-    w = A * cmath.exp(-0.5j * theta)
-    s = 1.0 / math.sqrt(math.sinh(2.0 * r))
-    return (2.0 * complex((w.real + w.imag * 0.0) * s, (w.imag - w.real * 0.0) * s),
-            (cmath.exp(-1j * theta) * A * A).real * math.tanh(r))
-
-
 def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
-    """DSS pmf (r > 0) for n = 0, 1, ...: one Hermite recurrence on (H_{n-1}, H_n, log-scale)."""
+    """DSS pmf (r > 0) for n = 0, 1, ...: one Hermite recurrence on (H_{n-1}, H_n, log-scale)
+    from z = A e^{-j theta/2} / sqrt(sinh 2r), taken as a reciprocal multiply."""
     A = complex(A)
-    two_z, quad = _dss_args(A, r, theta)
+    two_z = 2.0 * (A * cmath.exp(-0.5j * theta) * (1.0 / math.sqrt(math.sinh(2.0 * r))))
+    quad = (cmath.exp(-1j * theta) * A * A).real * math.tanh(r)
     log_half_t = math.log(math.tanh(r) / 2.0)
     log_cosh = math.log(math.cosh(r))
     abs2 = abs(A) ** 2
@@ -231,13 +224,14 @@ def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     if not 0.0 < r < math.inf:
         raise DegenerateSqueezingError(
             f"dss_pmf requires finite r > 0, got {r!r}; at r = 0 use poisson_pmf(|alpha_c|^2)")
-    return KeptLaw(_dss_values(alpha_c, r, theta))(n)
+    return KeptLaw(_dss_values(finite(alpha_c, "alpha_c"), r, finite(theta, "theta")))(n)
 
 
 @functools.lru_cache(maxsize=_LAW_CAP)
 def _law(A: complex, r: float, theta: float) -> KeptLaw:
     """Kept law of S(r e^{j theta}) D(A)|0>: Poisson of mean |A|^2 below r = 1e-8,
     the squeezed vacuum at A = 0, else the DSS law.  _law.__wrapped__ builds anew."""
+    finite(A, "A"), finite(theta, "theta")
     if nonnegative(r, "r") < _POISSON_CUTOFF_R:
         return poisson_law(abs(A) ** 2)
     return KeptLaw(_sv_values(r) if A == 0 else _dss_values(A, r, theta))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import nonnegative
+from .errors import finite, nonnegative
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +49,7 @@ class PhaseSpacePoint:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise ValueError("phase-space coordinates must be finite")
+        finite(self.x, "x"), finite(self.p, "p")
 
 
 def binary_symbol(symbol: int) -> int:
@@ -111,7 +110,7 @@ def homodyne_pdf(x: float, design: SignalDesign, symbol: int) -> float:
     """Probability density of the X-quadrature outcome given the sent symbol.
 
     This is the p-marginal of the Wigner function: a Gaussian of variance
-    exp(-2r)/2 centered at +/- sqrt(2) alpha.
+    exp(-2r)/2 centered at +/- sqrt(2) alpha; x must be finite.
     """
-    dx = x - _mean_x(design, symbol)
+    dx = finite(x, "x") - _mean_x(design, symbol)
     return math.exp(design.r) / math.sqrt(math.pi) * math.exp(-math.exp(2.0 * design.r) * dx * dx)

@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .fock_statistics import resolution
 from .gaussian_states import SignalDesign
 from .receiver_ideal import (DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision,
                              transform_means)
@@ -43,6 +44,9 @@ class ImperfectScenario:
 class MismatchScenario:
     mm: MismatchModel
     M: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "M", resolution(self.M))
 
 
 Scenario = IdealScenario | ImperfectScenario | MismatchScenario

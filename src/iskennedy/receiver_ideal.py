@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
 from .errors import nonnegative
-from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law
+from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law, resolution
 from .gaussian_states import SignalDesign, binary_symbol
 
 # Threshold accept sets kept: every (n_th, M) of a sweep over a few detectors.  Keys
-# are typed, so a float M misses the cache and fails in range() as it does uncached.
+# are typed, so a float M misses the cache and is read as a resolution there.
 _ACCEPT_SET_CAP = 64
 
 
@@ -69,8 +69,8 @@ class DecisionRule:
 @functools.lru_cache(maxsize=_ACCEPT_SET_CAP, typed=True)
 def threshold_accept_set(n_th: int, M: int) -> frozenset[int]:
     """{max(n_th, 0), ..., M}: one shared immutable set per (n_th, M), the last
-    _ACCEPT_SET_CAP kept."""
-    return frozenset(range(max(n_th, 0), M + 1))
+    _ACCEPT_SET_CAP kept; M is read as a resolution."""
+    return frozenset(range(max(n_th, 0), resolution(M) + 1))
 
 
 def transform_means(design: SignalDesign) -> tuple[float, float]:
@@ -151,4 +151,4 @@ def ideal_decision(design: SignalDesign, M: int) -> DecisionRule:
     the truncated space.  At zero energy both hypotheses are the vacuum and the
     rule errs half the time (p_err 0.5)."""
     p_mi = math.exp(-transform_means(design)[1])  # P(n = 0 | symbol 1)
-    return DecisionRule.from_rates(threshold_accept_set(1, M), 1, 0.0, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(1, resolution(M)), 1, 0.0, p_mi)

@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import nonnegative
+from .errors import NumericalConsistencyError, nonnegative
 from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_cdf_below,
                               poisson_law, poisson_tail_ge, resolution)
 from .gaussian_states import SignalDesign, binary_symbol
@@ -92,19 +92,21 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     Experimental composition used only by the CLI: detected counts are a
     binomial thinning of the incident count plus independent Poisson darks.
     `pmf` maps an incident photon number to its probability; incident numbers
-    are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400.
+    are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400; the
+    rest is lumped into bin M, exact only at eta = 1 (else NumericalConsistencyError).
     Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
     identity at eta = 1); the darks are convolved in, truncated at M.
     """
     import numpy as np  # the one array kernel here; the scalar receivers need no numpy
-    incident = []
-    covered = 0.0
+    incident, covered = [], 0.0
     for k in range(4 * det.M + 401):
         incident.append(pmf(k))
         covered += incident[-1]
         if 1.0 - covered < 1e-12:
             break
     M, K = det.M, len(incident)
+    if det.eta < 1.0 and 1.0 - covered >= 1e-12:
+        raise NumericalConsistencyError(f"incident mass {1.0 - covered:.3g} lies past {K} terms")
     if det.eta == 1.0:
         thinning = np.eye(M, K)
     else:

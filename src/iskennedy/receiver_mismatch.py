@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import nonnegative
+from .errors import finite, nonnegative
 from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, photon_pmf,
                               resolution, sv_tail_ge)
 from .gaussian_states import SignalDesign, binary_symbol
@@ -32,9 +32,8 @@ class MismatchModel:
     delta_theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_r) and math.isfinite(self.delta_theta)):
-            raise ValueError("mismatch parameters must be finite")
-        if abs(self.delta_theta) >= math.pi:
+        finite(self.delta_r, "delta_r")
+        if abs(finite(self.delta_theta, "delta_theta")) >= math.pi:
             raise ValueError(f"|delta_theta| must be < pi, got {self.delta_theta}")
 
 
@@ -136,18 +135,18 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     that of symbol 0; under equal priors the resulting error is
     1 - sum_n max{P(n|0), P(n|1)}/2, the minimum over all labelings.
     """
-    p0, p1 = problem.dist0.probs, problem.dist1.probs
-    accept = frozenset(n for n in range(problem.M + 1) if p1[n] >= p0[n])
+    p0, p1, M = problem.dist0.probs, problem.dist1.probs, problem.M
+    accept = frozenset(n for n in range(M + 1) if p1[n] >= p0[n])
     p_fa = p_mi = 0.0
     for n in accept:  # plain loops: sum() compensates floats on Python >= 3.12
         p_fa += p0[n]
-    for n in range(problem.M + 1):
+    for n in range(M + 1):
         if n not in accept:
             p_mi += p1[n]
     threshold = None
-    shared = threshold_accept_set(min(accept, default=problem.M + 1), problem.M)
-    if accept == shared:  # a threshold rule keeps the one shared set, not its own copy
-        accept, threshold = shared, min(accept, default=None)
+    if accept and len(accept) == M + 1 - min(accept):  # {n_th, ..., M}, a threshold rule,
+        threshold = min(accept)  # keeps the one shared set, not its own copy
+        accept = threshold_accept_set(threshold, M)
     return DecisionRule.from_rates(accept, threshold, p_fa, p_mi)
 
 
@@ -162,7 +161,7 @@ def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> Decision
     p_mi = (1.0 / math.cosh(r_m)) * math.exp(
         -abs(gm2) ** 2 + (cmath.exp(-1j * theta_m) * gm2 * gm2).real * math.tanh(r_m)
     )
-    return DecisionRule.from_rates(frozenset({1}), 1, p_fa, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(1, 1), 1, p_fa, p_mi)
 
 
 def parity_saturation_floor(M: int, delta_r: float) -> float:

@@ -256,6 +256,46 @@ def test_config_file_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, config, message", [
+    (["ideal", "--config"], None, "--config needs a path"),
+    (["--config", "{cfg}"], "N = 2.0\n", "--config requires a subcommand"),
+    (["--config", "{cfg}", "ideal"], "N = 2.0\n = 1\n", "run.cfg:2: empty key"),
+])
+def test_config_usage_errors_write_one_line(args, config, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    assert main([a.format(cfg=cfg) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith(message) and err.count("\n") == 1
+
+
+def test_a_failing_validation_row_exits_4_naming_it(monkeypatch, capsys):
+    from iskennedy import cli
+
+    row = {"scenario": "forced", "trials": 1000, "seed": 1, "generator": "PCG64",
+           "p_err_estimate": 0.6, "p_err_reference": 0.5, "std_error": 0.015,
+           "fa_count": 300, "mi_count": 300, "z_score": 6.32}
+    passing = {**row, "scenario": "kept", "p_err_estimate": 0.5, "fa_count": 250,
+               "mi_count": 250, "z_score": 0.0}
+    monkeypatch.setattr(cli, "validation_battery", lambda trials, seed: [passing, row])
+    assert main(["validate", "--trials", "1000"]) == 4
+    out, err = capsys.readouterr()
+    assert [r["scenario"] for r in parse_csv(out)] == ["kept", "forced"]
+    assert err == "validation failed: forced: 600 errors, 500 expected, z = 6.32\n"
+
+
+def test_an_uncovered_composition_exits_3_writing_nothing(capsys):
+    args = ["mismatch", "--N", "10", "--dr", "0.02", "--M", "1", "--eta", "0.001", "--nu", "0",
+            "--experimental-detector"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical consistency failure: incident mass 0.817")
+    assert err.count("\n") == 1
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "table.csv"
     code, out = run_cli(["bounds", "--N", "1.0", "--out", str(target)])
@@ -352,6 +392,9 @@ def assert_usage_error_writes_nothing(args, tmp_path):
     # inside at the first point of a sweep, outside at the last
     ["detector", "--sweep", "eta:0.5:2:4"],
     ["mismatch", "--sweep", "delta_theta:0:4:3"],
+    # malformed sweeps
+    ["ideal", "--sweep", "N:0:1:1"],
+    ["ideal", "--sweep", "N:1:0:3"],
 ])
 def test_usage_error_before_output(args, tmp_path):
     assert_usage_error_writes_nothing(args, tmp_path)

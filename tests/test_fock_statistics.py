@@ -19,12 +19,14 @@ from iskennedy import (
     DegenerateSqueezingError,
     DetectorModel,
     MismatchModel,
+    MismatchScenario,
     NumericalConsistencyError,
     clamp_to_resolution,
     design_at_optimal_beta,
     dss_pmf,
     exact_parity_floor,
     exact_saturation_floor,
+    ideal_decision,
     p_err_imperfect,
     parity_saturation_floor,
     poisson_pmf,
@@ -35,6 +37,7 @@ from iskennedy import (
 from iskennedy import fock_statistics
 from iskennedy.fock_statistics import (
     photon_pmf, poisson_cdf_below, poisson_tail_ge, sv_tail_ge)
+from iskennedy.receiver_ideal import threshold_accept_set
 
 from oracles import hermite_complex, pmf_mean, squeezed_displaced_pmf
 
@@ -563,6 +566,9 @@ def _detector_rule(M):
 RESOLUTION_ENTRY_POINTS = {
     "clamp_to_resolution": _clamped,
     "DetectorModel": _detector_rule,
+    "MismatchScenario": lambda M: MismatchScenario(MismatchModel(0.02, 0.0), M),
+    "ideal_decision": lambda M: ideal_decision(design_at_optimal_beta(1.0), M),
+    "threshold_accept_set": lambda M: threshold_accept_set(1, M),
     "saturation_floor": lambda M: saturation_floor(M, 1e-2),
     "exact_saturation_floor": lambda M: exact_saturation_floor(M, 1e-2),
     "parity_saturation_floor": lambda M: parity_saturation_floor(M, 0.02),
@@ -641,6 +647,16 @@ def _input_entry_points():
               lambda r: sv_pmf(2, r), lambda r: photon_pmf(1.0, r)(0),
               lambda r: photon_pmf(0.0, r)(0), lambda r: photon_pmf(1.0, r, 0.5)(3),
               lambda r: dss_pmf(0, 1.0, r)],
+        # Signed quantities: only non-finite values are rejected.
+        "A": [lambda a: photon_pmf(a, 0.0)(2), lambda a: photon_pmf(a, 0.5)(2),
+              lambda a: photon_pmf(complex(0.5, a), 0.5)(2)],
+        "alpha_c": [lambda a: dss_pmf(2, a, 0.5), lambda a: dss_pmf(2, complex(1.0, a), 0.5)],
+        "theta": [lambda t: photon_pmf(1.0, 0.5, t)(2), lambda t: photon_pmf(0.0, 0.5, t)(2),
+                  lambda t: photon_pmf(1.0, 0.0, t)(2), lambda t: dss_pmf(2, 1.0, 0.5, t)],
+        "x": [lambda x: gs.homodyne_pdf(x, design, 0), lambda x: gs.PhaseSpacePoint(x, 0.0)],
+        "p": [lambda p: gs.PhaseSpacePoint(0.0, p)],
+        "delta_r": [lambda d: MismatchModel(d, 0.0)],
+        "delta_theta": [lambda d: MismatchModel(0.02, d)],
         "n_eff": [lambda n: rimp.optimal_threshold(det, n)],
         "nu": [lambda nu: DetectorModel(1.0, nu, 1), lambda nu: saturation_floor(1, nu),
                lambda nu: exact_saturation_floor(1, nu)],
@@ -661,18 +677,23 @@ def _input_entry_points():
 
 
 INPUT_ENTRY_POINTS = _input_entry_points()
+SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta"}
 
 
 @pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
 def test_inputs_are_checked_alike_everywhere(entry):
     quantity, at = INPUT_ENTRY_POINTS[entry]
-    for value in (math.nan, math.inf, -math.inf, -1.0):
+    fock_statistics._law.cache_clear()
+    for value in (math.nan, math.inf, -math.inf) + (() if quantity in SIGNED_INPUTS else (-1.0,)):
         with pytest.raises(ValueError, match=rf"(^|\W){re.escape(quantity)}\W"):
             at(value)
+    assert fock_statistics._law.cache_info().currsize == 0  # no law of a rejected input is kept
+    if quantity in SIGNED_INPUTS:
+        at(-1.0)  # a finite negative value is a valid signed input
 
 
 def test_poisson_mean_takes_the_infinite_limit_and_rejects_the_rest():
-    assert poisson_pmf(0, math.inf) == 0.0
+    assert [poisson_pmf(n, math.inf) for n in (0, 1, 2, 20, 21, 300)] == [0.0] * 6
     for mu in (math.nan, -math.inf, -1.0):
         with pytest.raises(ValueError, match="Poisson mean"):
             poisson_pmf(1, mu)
@@ -794,16 +815,30 @@ def _bits(*xs):
     return struct.pack(f"{len(xs)}d", *xs)
 
 
-def _numpy_dss_args(A, r, theta):
-    """two_z and quad of the DSS law as they were spelled with numpy."""
-    return (2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r))),
-            (np.exp(-1j * theta) * A * A).real * math.tanh(r))
+def _numpy_dss_law(A, r, theta):
+    """The DSS law as it was spelled with numpy: two_z by numpy's complex division, then
+    the same Hermite recurrence, so that z carries numpy's signed zeros."""
+    two_z = 2.0 * complex(A * np.exp(-0.5j * theta) / math.sqrt(math.sinh(2.0 * r)))
+    quad = (np.exp(-1j * theta) * A * A).real * math.tanh(r)
+    log_half_t, log_cosh, abs2 = math.log(math.tanh(r) / 2.0), math.log(math.cosh(r)), abs(A) ** 2
+    h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+    for k in itertools.count():
+        if k:
+            h_prev, h = h, two_z * h - 2.0 * (k - 1) * h_prev
+            m = max(abs(h), abs(h_prev))
+            if m > 1e150:
+                h, h_prev, log_scale = h / m, h_prev / m, log_scale + math.log(m)
+        yield 0.0 if h == 0 else math.exp(
+            k * log_half_t - math.lgamma(k + 1) - log_cosh
+            + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
 
 
 class TestNumpyFreeSpellings:
     """The plain-Python spellings of the DSS law give numpy's bits."""
 
-    def test_dss_args_match_numpy_bit_for_bit(self):
+    def test_dss_law_matches_numpy_spelling_bit_for_bit(self):
+        # The plain complex product leaves z's zero parts signed unlike numpy's division;
+        # the recurrence reads only |h| and h == 0, so no law value may move.
         rng = random.Random(20261019)
         zeros = (0.0, -0.0)
         for i in range(20_000):
@@ -816,10 +851,9 @@ class TestNumpyFreeSpellings:
             theta = rng.choice((rng.uniform(-math.pi, math.pi), 0.0, -0.0, math.pi, -math.pi,
                                 0.03 * math.pi))
             A = complex(re, im)
-            two_z, quad = fock_statistics._dss_args(A, r, theta)
-            old_z, old_quad = _numpy_dss_args(A, r, theta)
-            assert _bits(two_z.real, two_z.imag, quad) == _bits(old_z.real, old_z.imag, old_quad), \
-                (A, r, theta)
+            new = fock_statistics.KeptLaw(fock_statistics._dss_values(A, r, theta)).head(60)
+            old = fock_statistics.KeptLaw(_numpy_dss_law(A, r, theta)).head(60)
+            assert _bits(*new) == _bits(*old), (A, r, theta)
 
     def test_math_exp_matches_numpy_where_log_p_can_reach_zero(self):
         # log_p >= 0 is reached only where the terms of log P(0) all round to zero

@@ -130,6 +130,12 @@ class TestWigner:
             wigner_grid(xs, ps, design_at_optimal_beta(1.0), symbol)
 
 
+def _wigner_cell(x, p, d, symbol):
+    """(1/pi) exp{-e^2r (x -/+ sqrt(2) a)^2 - e^-2r p^2}, spelled out term by term."""
+    dx = x - (1.0 if symbol else -1.0) * math.sqrt(2.0) * d.alpha
+    return math.exp(-math.exp(2.0 * d.r) * dx * dx - math.exp(-2.0 * d.r) * p * p) / math.pi
+
+
 @settings(max_examples=150, deadline=None)
 @given(N=st.floats(0.0, 10.0), beta=st.floats(0.0, 1.0),
        bounds=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
@@ -143,6 +149,7 @@ def test_wigner_grid_is_wigner_dss_bit_for_bit(N, beta, bounds, points):
         lines = list(wigner_grid(xs, ps, d, symbol))
         assert len(lines) == len(xs)
         for x, line in zip(xs, lines):
+            assert line == [_wigner_cell(x, p, d, symbol) for p in ps]
             assert line == [wigner_dss(PhaseSpacePoint(x, p), d, symbol) for p in ps]
 
 

@@ -241,9 +241,11 @@ class TestSlottedRecords:
         for M in range(1, 3 * cap):
             assert receiver_ideal.threshold_accept_set(M, M) == frozenset({M})
             assert receiver_ideal.threshold_accept_set.cache_info().currsize <= cap
-        receiver_ideal.threshold_accept_set(1, 4)
-        with pytest.raises(TypeError):
-            receiver_ideal.threshold_accept_set(1, 4.0)
+        # Typed keys: a float M misses the int entry and is read as a resolution there.
+        accept_set = receiver_ideal.threshold_accept_set
+        assert accept_set(1, 4.0) == accept_set(1, 4)
+        with pytest.raises(ValueError, match="resolution"):
+            accept_set(1, 4.5)
 
     def test_retained_imperfect_rules_stay_small(self):
         det = DetectorModel(eta=0.9, nu=1e-3, M=4)

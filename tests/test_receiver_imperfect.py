@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from iskennedy import (
     DecisionProblem,
     DetectorModel,
+    MismatchModel,
+    NumericalConsistencyError,
     design_at_optimal_beta,
     detected_count_pmf,
     exact_saturation_floor,
     map_set_decision,
+    mismatch_count_pmf,
     optimal_threshold,
     p_err_ideal,
     p_err_imperfect,
     poisson_pmf,
+    residual,
     saturation_floor,
     sv_pmf,
 )
@@ -23,6 +27,7 @@ from iskennedy import receiver_imperfect
 from iskennedy.fock_statistics import photon_pmf, poisson_tail_ge
 from iskennedy.receiver_ideal import _map_threshold
 from iskennedy.receiver_imperfect import apply_detector_to_pmf
+from iskennedy.receiver_mismatch import mismatch_law
 
 from oracles import detector_composition
 
@@ -301,3 +306,18 @@ class TestDetectorComposition:
         reference, reference_calls = detector_composition(INCIDENT[law], eta, nu, M, cutoff)
         np.testing.assert_allclose(composed.probs, reference, rtol=0, atol=1e-15)
         assert calls == list(range(reference_calls))
+
+    def test_an_uncovered_incident_law_raises_below_unit_efficiency(self):
+        # N = 10: the symbol-1 law has mean about 440, and the 405 terms read at M = 1 hold
+        # 0.18 of it.  Lumping the rest into bin 1 gave p_mi 0.123 at eta = 0.001, where the
+        # exact sum_k P(k|1) (1 - eta)^k is 0.655.
+        design = design_at_optimal_beta(10.0)
+        res = residual(design, MismatchModel(0.02, 0.0))
+        law = mismatch_law(design, res, 1)
+        exact = sum(law(k) * (1.0 - 0.001) ** k for k in range(4000))
+        assert exact == pytest.approx(0.655, abs=1e-3)
+        with pytest.raises(NumericalConsistencyError, match="incident mass 0.817"):
+            apply_detector_to_pmf(law, DetectorModel(eta=0.001, nu=0.0, M=1))
+        # At eta = 1 the lumped bin is exact: the truncated law itself.
+        lossless = apply_detector_to_pmf(law, DetectorModel(eta=1.0, nu=0.0, M=1))
+        assert lossless.probs == mismatch_count_pmf(design, res, 1, 1).probs
