@@ -10,6 +10,11 @@ statistics independently.
 Sampling uses numpy's PCG64 generator, imported only where it samples.  Trials
 are split into fixed-size shards whose seeds are spawned from the master seed,
 so a report depends only on (trials, seed), not on how the shards are executed.
+Each shard is drawn and decided in chunks of _CHUNK trials, so no array
+outgrows a chunk except the shard's symbols, its decisions and the physical
+sampler's counts.  A shard still draws every symbol first, then each stage of its
+variates in turn; a Generator returns the same stream whether a stage is drawn
+in one call or in consecutive chunks, so chunking moves no draw.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_count_p
 
 _GENERATOR = "PCG64"
 _SHARD_SIZE = 250_000
+_CHUNK = 32_768
 _IDEAL_M = 40
 
 
@@ -113,24 +119,36 @@ def _shards(trials: int, seed: int):
         yield size, np.random.Generator(np.random.PCG64(child))
 
 
+def _chunks(array):
+    """Consecutive views of at most _CHUNK trials that cover a shard's array, in order."""
+    return (array[start:start + _CHUNK] for start in range(0, array.size, _CHUNK))
+
+
 def simulate(design: SignalDesign, config: TrialConfig) -> TrialReport:
     """Run the trial budget and compare the error estimate to the closed form.
 
     Each trial draws a symbol, then u, and is decided from the rule's flip
-    points in that symbol's CDF (`_flip_decider`), with no count formed.
+    points in that symbol's CDF (`_flip_decider`), with no count formed; a
+    shard's u are drawn and decided one chunk at a time.
     Deterministic: identical (design, config) give a bit-identical report.
     """
     import numpy as np
     problem, rule = scenario_problem(design, config.scenario)
     accept = np.array([n in rule.accept_set for n in range(problem.M + 1)])
-    decide = _flip_decider(accept,
-                           np.cumsum(problem.dist0.probs), np.cumsum(problem.dist1.probs))
-    return _tally(config, rule, lambda rng, symbols: decide(symbols, rng.random(symbols.size)))
+    flip = _flip_decider(accept, np.cumsum(problem.dist0.probs), np.cumsum(problem.dist1.probs))
+
+    def decide(rng, sent):
+        decide1 = np.empty(sent.size, dtype=bool)
+        for sent_part, part in zip(_chunks(sent), _chunks(decide1)):
+            part[...] = flip(sent_part, rng.random(part.size))
+        return decide1
+    return _tally(config, rule, decide)
 
 
 def _flip_decider(accept, cdf0, cdf1):
-    """decide(symbols, u): accept[count] per trial, where the inverse-CDF count
-    min(#{k : cdf_s[k] <= u}, M) is never formed.
+    """decide(sent, u): accept[count] per trial, where sent is the bool array of
+    symbol-1 trials and the inverse-CDF count min(#{k : cdf_s[k] <= u}, M) is
+    never formed.
 
     The cdfs are cumulative sums of nonnegative pmfs, hence nondecreasing, so
     the count exceeds j < M exactly when cdf_s[j] <= u.  The decision is
@@ -141,10 +159,10 @@ def _flip_decider(accept, cdf0, cdf1):
     flips = np.flatnonzero(accept[:-1] != accept[1:])
     edges = np.stack((cdf0[flips], cdf1[flips]), axis=1)
 
-    def decide(symbols, u):
+    def decide(sent, u):
         decide1 = np.full(u.size, accept[0])
-        for edge in edges:
-            decide1 ^= u >= edge[symbols]
+        for edge0, edge1 in edges:
+            decide1 ^= u >= np.where(sent, edge1, edge0)
         return decide1
     return decide
 
@@ -156,17 +174,24 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
     Incident photons are Poisson with the ideal means, each survives with
     probability eta, and independent Poisson dark counts add on top; the sum
     is clipped at the resolution.  Agreement with `simulate` on an
-    ImperfectScenario validates the Poisson(eta mu + nu) model.
+    ImperfectScenario validates the Poisson(eta mu + nu) model.  A shard draws
+    all its incident counts, then all thinnings, then all dark counts, each
+    stage chunk by chunk into one count array updated in place.
     """
     import numpy as np
     mu0, mu1 = transform_means(design)
     rule = p_err_imperfect(design, det)
     accept = np.array([n in rule.accept_set for n in range(det.M + 1)])
 
-    def decide(rng, symbols):
-        incident = rng.poisson(np.where(symbols == 1, mu1, mu0))
-        detected = rng.binomial(incident, det.eta) + rng.poisson(det.nu, size=symbols.size)
-        return accept[np.minimum(detected, det.M)]
+    def decide(rng, sent):
+        counts = np.empty(sent.size, dtype=np.int64)
+        for sent_part, part in zip(_chunks(sent), _chunks(counts)):
+            part[...] = rng.poisson(np.where(sent_part, mu1, mu0))
+        for part in _chunks(counts):
+            part[...] = rng.binomial(part, det.eta)
+        for part in _chunks(counts):
+            part += rng.poisson(det.nu, size=part.size)
+        return accept[np.minimum(counts, det.M, out=counts)]
 
     config = TrialConfig(trials=trials, seed=seed, scenario=ImperfectScenario(det))
     return _tally(config, rule, decide)
@@ -174,16 +199,23 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
 
 def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
     """Send uniform random symbols shard by shard, decide each trial with
-    decide(rng, symbols) (True: symbol 1), and compare to rule.p_err."""
+    decide(rng, sent) (True: symbol 1), and compare to rule.p_err.
+
+    A shard's symbols are drawn chunk by chunk into the bool array sent (True:
+    symbol 1) before decide draws anything, so every symbol precedes the
+    shard's variates in the stream; decide returns the shard's bool decisions.
+    """
     import numpy as np
     sent1 = decided1 = hits = 0
     for size, rng in _shards(config.trials, config.seed):
-        symbols = rng.integers(0, 2, size=size)
-        decide1 = decide(rng, symbols)
-        sent = symbols == 1
+        sent = np.empty(size, dtype=bool)
+        for part in _chunks(sent):
+            part[...] = rng.integers(0, 2, size=part.size)
+        decide1 = decide(rng, sent)
         sent1 += int(np.count_nonzero(sent))
         decided1 += int(np.count_nonzero(decide1))
         hits += int(np.count_nonzero(decide1 & sent))
+        del sent, decide1  # freed before the next shard allocates its own
     trials = config.trials
     fa, mi, sent0 = decided1 - hits, sent1 - hits, trials - sent1
     estimate = (fa + mi) / trials

@@ -69,8 +69,12 @@ class DecisionRule:
 @functools.lru_cache(maxsize=_ACCEPT_SET_CAP, typed=True)
 def threshold_accept_set(n_th: int, M: int) -> frozenset[int]:
     """{max(n_th, 0), ..., M}: one shared immutable set per (n_th, M), the last
-    _ACCEPT_SET_CAP kept; M is read as a resolution."""
-    return frozenset(range(max(n_th, 0), resolution(M) + 1))
+    _ACCEPT_SET_CAP kept; n_th is read as a whole number (1.0 as 1; 1.5, NaN
+    and +-inf raise ValueError) and M as a resolution."""
+    k = n_th if n_th.__class__ is int else int(n_th) if -math.inf < n_th < math.inf else None
+    if k is None or k != n_th:
+        raise ValueError(f"n_th must be a whole number, got {n_th!r}")
+    return frozenset(range(max(k, 0), resolution(M) + 1))
 
 
 def transform_means(design: SignalDesign) -> tuple[float, float]:

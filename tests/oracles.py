@@ -12,6 +12,9 @@ law's running recurrence must rescale.  `GaussianState` holds the first and
 second moments of a symbol state.  `sample_counts` is the exception to
 sharing no code: it histograms the Monte Carlo sampler's own inverse-CDF
 draws, so the sampler's empirical pmf can be checked against the law.
+`whole_shard_counts` and `whole_shard_physical_counts` share the sampler's
+shard seeding and laws too: they draw each shard in one call per stage, the
+reference that the chunked samplers must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from iskennedy.gaussian_states import SignalDesign
-from iskennedy.monte_carlo import Scenario, TrialConfig, _shards, scenario_problem
+from iskennedy.monte_carlo import (ImperfectScenario, Scenario, TrialConfig, _shards,
+                                   scenario_problem)
+from iskennedy.receiver_ideal import transform_means
+from iskennedy.receiver_imperfect import DetectorModel, p_err_imperfect
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -134,6 +140,53 @@ def sample_counts(design: SignalDesign, scenario: Scenario, symbol: int,
         np.clip(counts, 0, problem.M, out=counts)
         hist += np.bincount(counts, minlength=problem.M + 1)
     return hist
+
+
+def whole_shard_counts(design: SignalDesign, config: TrialConfig) -> tuple[int, int, int, int]:
+    """(fa_count, mi_count, sent0, sent1) of `simulate` with every shard drawn whole:
+    one integers call for the symbols, one random call for u, and each flip
+    edge gathered as edge[symbols]."""
+    problem, rule = scenario_problem(design, config.scenario)
+    accept = np.array([n in rule.accept_set for n in range(problem.M + 1)])
+    flips = np.flatnonzero(accept[:-1] != accept[1:])
+    edges = np.stack((np.cumsum(problem.dist0.probs)[flips],
+                      np.cumsum(problem.dist1.probs)[flips]), axis=1)
+
+    def decide(rng, symbols):
+        u = rng.random(symbols.size)
+        decide1 = np.full(u.size, accept[0])
+        for edge in edges:
+            decide1 ^= u >= edge[symbols]
+        return decide1
+    return _whole_shard_tally(config, decide)
+
+
+def whole_shard_physical_counts(design: SignalDesign, det: DetectorModel,
+                                trials: int, seed: int) -> tuple[int, int, int, int]:
+    """(fa_count, mi_count, sent0, sent1) of `simulate_physical_imperfect` with
+    every stage of a shard drawn in one call: incident, thinned, dark."""
+    mu0, mu1 = transform_means(design)
+    rule = p_err_imperfect(design, det)
+    accept = np.array([n in rule.accept_set for n in range(det.M + 1)])
+
+    def decide(rng, symbols):
+        incident = rng.poisson(np.where(symbols == 1, mu1, mu0))
+        detected = rng.binomial(incident, det.eta) + rng.poisson(det.nu, size=symbols.size)
+        return accept[np.minimum(detected, det.M)]
+    config = TrialConfig(trials=trials, seed=seed, scenario=ImperfectScenario(det))
+    return _whole_shard_tally(config, decide)
+
+
+def _whole_shard_tally(config: TrialConfig, decide) -> tuple[int, int, int, int]:
+    sent1 = decided1 = hits = 0
+    for size, rng in _shards(config.trials, config.seed):
+        symbols = rng.integers(0, 2, size=size)
+        decide1 = decide(rng, symbols)
+        sent = symbols == 1
+        sent1 += int(np.count_nonzero(sent))
+        decided1 += int(np.count_nonzero(decide1))
+        hits += int(np.count_nonzero(decide1 & sent))
+    return decided1 - hits, sent1 - hits, config.trials - sent1, sent1
 
 
 @dataclass(frozen=True)

@@ -671,13 +671,15 @@ def _input_entry_points():
         "probabilities": [lambda p: ik.ratio_db(p, 0.5), lambda p: ik.ratio_db(0.5, p)],
         "mu0": [lambda mu: ri.map_threshold_ideal(mu, 2.0)],
         "mu1": [lambda mu: ri.map_threshold_ideal(0.0, mu)],
+        # A whole number, a negative one clamped to 0; 1.5 is checked in test_receiver_ideal.
+        "n_th": [lambda n: ri.threshold_accept_set(n, 4)],
     }
     return {f"{quantity}:{i}": (quantity, call)
             for quantity, calls in entries.items() for i, call in enumerate(calls)}
 
 
 INPUT_ENTRY_POINTS = _input_entry_points()
-SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta"}
+SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta", "n_th"}
 
 
 @pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))

@@ -246,6 +246,12 @@ class TestSlottedRecords:
         assert accept_set(1, 4.0) == accept_set(1, 4)
         with pytest.raises(ValueError, match="resolution"):
             accept_set(1, 4.5)
+        # n_th likewise: a whole float reads as its int, a negative one clamps to 0.
+        assert accept_set(1.0, 4) == accept_set(1, 4)
+        assert accept_set(-1.0, 4) == accept_set(-1, 4) == frozenset(range(5))
+        for n_th in (1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^n_th must be a whole number"):
+                accept_set(n_th, 4)
 
     def test_retained_imperfect_rules_stay_small(self):
         det = DetectorModel(eta=0.9, nu=1e-3, M=4)
