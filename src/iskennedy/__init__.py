@@ -77,6 +77,7 @@ from .receiver_mismatch import (
     first_order_residual,
     map_set_decision,
     mismatch_count_pmf,
+    mismatch_problem,
     p_err_mismatch,
     parity_saturation_floor,
     residual,

@@ -54,7 +54,7 @@ from .gaussian_states import design_at_optimal_beta, make_design, wigner_grid
 from .monte_carlo import IdealScenario, ImperfectScenario, MismatchScenario, TrialConfig, simulate
 from .receiver_ideal import DecisionProblem, p_err_ideal, p_err_kennedy, ratio_to_helstrom
 from .receiver_imperfect import DetectorModel, apply_detector_to_pmf, p_err_imperfect
-from .receiver_mismatch import (MismatchModel, map_set_decision, mismatch_count_pmf, mismatch_law,
+from .receiver_mismatch import (MismatchModel, map_set_decision, mismatch_law, mismatch_problem,
                                 residual)
 
 EXIT_OK = 0
@@ -391,16 +391,17 @@ def cmd_thresholds(args) -> int:
 
 
 def _mismatch_row(a) -> dict:
+    """One `mismatch` row: mismatch_problem's pmfs, or with --eta/--nu each symbol law
+    through apply_detector_to_pmf, decided by map_set_decision."""
     design = design_for(a.N, a.beta)
     res = residual(design, MismatchModel(a.delta_r, a.delta_theta))
     if a.eta == 1.0 and a.nu == 0.0:
-        dist0, dist1 = (mismatch_count_pmf(design, res, a.M, s) for s in (0, 1))
-    else:
-        # Experimental: push the mismatch laws through an (eta, nu) detector.
+        problem = mismatch_problem(design, res, a.M)
+    else:  # experimental: push the mismatch laws through an (eta, nu) detector
         det = DetectorModel(eta=a.eta, nu=a.nu, M=a.M)
-        dist0, dist1 = (apply_detector_to_pmf(mismatch_law(design, res, s), det)
-                        for s in (0, 1))
-    rule = map_set_decision(DecisionProblem(dist0=dist0, dist1=dist1))
+        problem = DecisionProblem(*(apply_detector_to_pmf(mismatch_law(design, res, s), det)
+                                    for s in (0, 1)))
+    rule = map_set_decision(problem)
     return {"N": a.N, "delta_r": a.delta_r, "delta_theta": a.delta_theta, "M": a.M,
             "r_m": res.r_m, "theta_m": res.theta_m, "vartheta": res.vartheta,
             "gamma_m_re": design.gamma, "gamma_m_im": 0.0,

@@ -157,13 +157,17 @@ def sv_tail_ge(n_min: int, r: float) -> float:
 
 def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
     """DSS pmf (r > 0) for n = 0, 1, ...: one Hermite recurrence on (H_{n-1}, H_n, log-scale)
-    from z = A e^{-j theta/2} / sqrt(sinh 2r), taken as a reciprocal multiply."""
-    A = complex(A)
-    two_z = 2.0 * (A * cmath.exp(-0.5j * theta) * (1.0 / math.sqrt(math.sinh(2.0 * r))))
-    quad = (cmath.exp(-1j * theta) * A * A).real * math.tanh(r)
-    log_half_t = math.log(math.tanh(r) / 2.0)
-    log_cosh = math.log(math.cosh(r))
-    abs2 = abs(A) ** 2
+    from z = w / sqrt(sinh 2r), w = A e^{-j theta/2}, taken as a reciprocal multiply.  The
+    Gaussian factor -|A|^2 + Re(w^2) tanh r is summed as written up to |A|^2 = 1024 (rounding
+    of order |A|^2 2^-52 in log P), above that as -(|A|^2 (1 - tanh r) + 2 Im(w)^2 tanh r),
+    which keeps its digits where tanh r rounds to 1 (r >= 19.06) and the sum would cancel."""
+    A, t = complex(A), math.tanh(r)
+    w = A * cmath.exp(-0.5j * theta)
+    two_z = 2.0 * (w * (1.0 / math.sqrt(math.sinh(2.0 * r))))
+    quad = (cmath.exp(-1j * theta) * A * A).real * t
+    log_half_t, log_cosh, abs2 = math.log(t / 2.0), math.log(math.cosh(r)), abs(A) ** 2
+    if abs2 > 1024.0:  # 1 - tanh r = e^-r / cosh r
+        abs2, quad = 0.0, -(abs2 * (math.exp(-r) / math.cosh(r)) + 2.0 * w.imag ** 2 * t)
     h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
     for k in count():
         if k:

@@ -28,7 +28,7 @@ from .gaussian_states import SignalDesign
 from .receiver_ideal import (DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision,
                              transform_means)
 from .receiver_imperfect import DetectorModel, detected_count_pmf, p_err_imperfect
-from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_count_pmf, residual
+from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_problem, residual
 
 _GENERATOR = "PCG64"
 _SHARD_SIZE = 250_000
@@ -90,7 +90,8 @@ class TrialReport:
 
 
 def scenario_problem(design: SignalDesign, scenario: Scenario) -> tuple[DecisionProblem, DecisionRule]:
-    """Exact conditional pmfs and the receiver's decision rule for a scenario."""
+    """Exact conditional pmfs and the receiver's decision rule for a scenario; a mismatch
+    scenario's pmfs are mismatch_problem's, decided by map_set_decision."""
     if isinstance(scenario, IdealScenario):
         problem = DecisionProblem(dist0=ideal_count_pmf(design, 0, _IDEAL_M),
                                   dist1=ideal_count_pmf(design, 1, _IDEAL_M))
@@ -100,9 +101,7 @@ def scenario_problem(design: SignalDesign, scenario: Scenario) -> tuple[Decision
                                   dist1=detected_count_pmf(design, scenario.det, 1))
         return problem, p_err_imperfect(design, scenario.det)
     if isinstance(scenario, MismatchScenario):
-        res = residual(design, scenario.mm)
-        problem = DecisionProblem(dist0=mismatch_count_pmf(design, res, scenario.M, 0),
-                                  dist1=mismatch_count_pmf(design, res, scenario.M, 1))
+        problem = mismatch_problem(design, residual(design, scenario.mm), scenario.M)
         return problem, map_set_decision(problem)
     raise TypeError(f"unknown scenario {scenario!r}")
 

@@ -155,4 +155,4 @@ def ideal_decision(design: SignalDesign, M: int) -> DecisionRule:
     the truncated space.  At zero energy both hypotheses are the vacuum and the
     rule errs half the time (p_err 0.5)."""
     p_mi = math.exp(-transform_means(design)[1])  # P(n = 0 | symbol 1)
-    return DecisionRule.from_rates(threshold_accept_set(1, resolution(M)), 1, 0.0, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(1, M), 1, 0.0, p_mi)

@@ -128,6 +128,11 @@ def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
     return clamp_to_resolution(mismatch_law(design, res, symbol), M)
 
 
+def mismatch_problem(design: SignalDesign, res: ResidualSqueezing, M: int) -> DecisionProblem:
+    """Both symbols' count statistics (mismatch_count_pmf) as one problem at resolution M."""
+    return DecisionProblem(*(mismatch_count_pmf(design, res, M, s) for s in (0, 1)))
+
+
 def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     """Bayes-optimal outcome labeling over the truncated space.
 
@@ -151,16 +156,10 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
 
 
 def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> DecisionRule:
-    """Click/no-click receiver under mismatch, in closed form.
-
-    P_FA = 1 - 1/cosh r_m (squeezed vacuum is not empty); P_Mi is the vacuum
-    element of the symbol-1 distribution.
-    """
-    r_m, theta_m, gm2 = res.r_m, res.theta_m, 2.0 * design.gamma
-    p_fa = -math.expm1(-math.log(math.cosh(r_m)))  # 1 - 1/cosh r_m
-    p_mi = (1.0 / math.cosh(r_m)) * math.exp(
-        -abs(gm2) ** 2 + (cmath.exp(-1j * theta_m) * gm2 * gm2).real * math.tanh(r_m)
-    )
+    """Click/no-click receiver under mismatch: P_FA = 1 - 1/cosh r_m (squeezed vacuum is
+    not empty), and P_Mi is the vacuum element of the symbol-1 law (mismatch_law)."""
+    p_fa = -math.expm1(-math.log(math.cosh(res.r_m)))  # 1 - 1/cosh r_m
+    p_mi = mismatch_law(design, res, 1)(0)
     return DecisionRule.from_rates(threshold_accept_set(1, 1), 1, p_fa, p_mi)
 
 
@@ -185,10 +184,5 @@ def exact_parity_floor(M: int, r_m: float) -> float:
 
 
 def p_err_mismatch(design: SignalDesign, mm: MismatchModel, M: int) -> DecisionRule:
-    """Full pipeline: Bogoliubov reduction, count statistics, set-based MAP."""
-    res = residual(design, mm)
-    problem = DecisionProblem(
-        dist0=mismatch_count_pmf(design, res, M, 0),
-        dist1=mismatch_count_pmf(design, res, M, 1),
-    )
-    return map_set_decision(problem)
+    """Full pipeline: residual reduction, mismatch_problem, then set-based MAP."""
+    return map_set_decision(mismatch_problem(design, residual(design, mm), M))

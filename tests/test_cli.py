@@ -805,3 +805,24 @@ def test_overflowing_wigner_span_is_a_usage_error(tmp_path):
         assert_usage_error_writes_nothing(
             ["wigner", "--pmin=-1e308", "--pmax", "1e308", "--points", "3"], tmp_path)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("N", ["2e16", "1e17", "1e150"])
+@pytest.mark.parametrize("stage", ["input", "nulled"])
+def test_populations_where_tanh_r_rounds_to_one_stay_within_all_the_mass(N, stage):
+    # Past r = 19.06 the DSS law's Gaussian factor once summed to 0, and every row read 1.
+    code, out = run_cli(["populations", "--N", N, "--stage", stage, "--nmax", "3"])
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["n"] for row in rows] == ["0", "1", "2", "3"]
+    for column in ("p_given_0", "p_given_1"):
+        values = [float(row[column]) for row in rows]
+        assert all(0.0 <= p <= 1.0 for p in values) and math.fsum(values) <= 1.0
+    assert [row["p_given_1"] for row in rows] == ["0"] * 4
+    if stage == "input":
+        assert [row["p_given_0"] for row in rows] == ["0"] * 4
+
+
+def test_populations_just_below_tanh_r_rounding_to_one_keep_their_bytes():
+    code, out = run_cli(["populations", "--N", "1.5e16", "--stage", "input", "--nmax", "3"])
+    assert (code, out) == (0, "n,p_given_0,p_given_1\n0,0,0\n1,0,0\n2,0,0\n3,0,0\n")

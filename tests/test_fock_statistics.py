@@ -8,6 +8,7 @@ import threading
 import time
 import traceback
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -867,3 +868,70 @@ class TestNumpyFreeSpellings:
         xs += [10.0 ** rng.uniform(-323.0, -12.0) for _ in range(10_000)]
         for x in xs:
             assert _bits(math.exp(x)) == _bits(float(np.exp(x))), x
+
+
+# N = 2e16 at the optimal split: r = 19.11, past r = 19.06 where tanh r rounds to 1.
+_TANH_ONE = design_at_optimal_beta(2e16)
+
+
+def _vacuum_element(A, r, theta):
+    """P(0) of S(r e^{j theta}) D(A)|0>, sech r exp(-|A|^2 + Re[e^{-j theta} A^2] tanh r),
+    at 400 digits: enough for -|A|^2 + ... to keep its digits at |A|^2 = 4e300, r = 173."""
+    with mpmath.workdps(400):
+        A, r = mpmath.mpc(A), mpmath.mpf(r)
+        quad = mpmath.re(mpmath.exp(-1j * mpmath.mpf(theta)) * A * A) * mpmath.tanh(r)
+        return float(mpmath.sech(r) * mpmath.exp(-abs(A) ** 2 + quad))
+
+
+class TestLargeDisplacement:
+    """Above |A|^2 = 1024 the DSS law takes its Gaussian factor as
+    -|A|^2 (1 - tanh r) - 2 Im[A e^{-j theta/2}]^2 tanh r; summed as written,
+    -|A|^2 + Re[e^{-j theta} A^2] tanh r cancels to 0 once tanh r rounds to 1."""
+
+    @given(st.complex_numbers(max_magnitude=1e20, allow_nan=False, allow_infinity=False),
+           st.floats(1e-8, 40.0), st.floats(-math.pi, math.pi, exclude_min=True))
+    @example(complex(_TANH_ONE.gamma), _TANH_ONE.r, 0.0)
+    @example(complex(2.0 * _TANH_ONE.gamma), _TANH_ONE.r, 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_no_count_law_reports_more_than_all_the_mass(self, A, r, theta):
+        fock_statistics._law.cache_clear()
+        try:
+            head = photon_pmf(A, r, theta).head(32)
+        except NumericalConsistencyError:
+            return
+        assert all(0.0 <= p <= 1.0 for p in head), head
+        assert math.fsum(head) <= 1.0 + 1e-9, head
+
+    @pytest.mark.parametrize("N", [2e16, 1e17, 1e150])
+    def test_input_and_nulled_stage_laws_where_tanh_r_rounds_to_one(self, N):
+        d = design_at_optimal_beta(N)
+        assert math.tanh(d.r) == 1.0
+        fock_statistics._law.cache_clear()
+        for A in (-d.gamma, d.gamma, 2.0 * d.gamma):  # input symbols 0, 1; nulled symbol 1
+            head = photon_pmf(A, d.r).head(200)
+            # log P(0) is -N or below, and |H_n(z)| <= (2|z| + 2n)^n with |z|^2 <= 4N adds
+            # at most 400 ln(4 sqrt(N) + 400) to log P(n < 200): every value is 0.
+            assert head[0] == _vacuum_element(A, d.r, 0.0) == 0.0
+            assert head == [0.0] * 200
+        assert photon_pmf(0.0, d.r).head(200) == [sv_pmf(n, d.r) for n in range(200)]
+
+    @pytest.mark.parametrize("A, r, theta", [
+        (2.0 * design_at_optimal_beta(1e8).gamma, 24.999999999999996, 0.0),  # mismatch dr=25
+        (1e5 * complex(math.cos(0.3 + 5e-5), math.sin(0.3 + 5e-5)), 25.0, 0.6),
+        (1e3, 19.5, 0.0),
+        (40.0 - 3.0j, 2.0, 1.0),
+    ])
+    def test_vacuum_element_matches_its_closed_form(self, A, r, theta):
+        # The first point is `mismatch --N 1e8 --dr 25 --M 1`, whose P(0|1) read 3.78e-11,
+        # 36% high, when the factor was summed as written; the second has Im w = 5.
+        fock_statistics._law.cache_clear()
+        assert photon_pmf(A, r, theta)(0) == pytest.approx(_vacuum_element(A, r, theta),
+                                                           rel=1e-9)
+
+    @pytest.mark.parametrize("A, r, theta", [
+        (32.0 + 0.5j, 0.3, 0.7), (-20.0 + 25.0j, 1.5, -2.0), (32.01, 2.5, 0.0)])
+    def test_both_spellings_of_the_gaussian_factor_agree_past_the_switch(self, A, r, theta):
+        assert abs(A) ** 2 > 1024.0
+        new = fock_statistics.KeptLaw(fock_statistics._dss_values(A, r, theta)).head(80)
+        summed = fock_statistics.KeptLaw(_numpy_dss_law(A, r, theta)).head(80)
+        assert new == pytest.approx(summed, rel=1e-11, abs=1e-300)

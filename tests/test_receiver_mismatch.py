@@ -1,7 +1,9 @@
+import ast
 import cmath
 import dataclasses
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from iskennedy import (
     CountDistribution,
     DecisionProblem,
     MismatchModel,
+    MismatchScenario,
     bogoliubov,
     design_at_optimal_beta,
     dss_pmf,
@@ -19,6 +22,7 @@ from iskennedy import (
     first_order_residual,
     map_set_decision,
     mismatch_count_pmf,
+    mismatch_problem,
     p_err_ideal,
     p_err_mismatch,
     parity_saturation_floor,
@@ -26,7 +30,9 @@ from iskennedy import (
     spd_mismatch_error,
 )
 
+from iskennedy import cli, monte_carlo
 from iskennedy import receiver_mismatch as rm
+from iskennedy.monte_carlo import scenario_problem
 
 from oracles import fock_pmf, receiver_output_pmf, squeeze, squeezed_displaced_pmf, vacuum
 
@@ -319,6 +325,17 @@ class TestSpdMismatch:
         assert rule.p_mi == pytest.approx(
             dss_pmf(0, 2.0 * d.gamma, res.r_m, res.theta_m), abs=1e-12)
 
+    @pytest.mark.parametrize("N", [1e8, 2e16])
+    def test_miss_probability_where_tanh_r_m_rounds_to_one(self, N):
+        # At r_m = 25 the closed form -|2 gamma|^2 + Re[...] tanh r_m summed to 0, so
+        # P_Mi read sech r_m = 2.78e-11 at any energy.
+        d = design_at_optimal_beta(N)
+        res = residual(d, MismatchModel(25.0, 0.0))
+        one_minus_tanh = 2.0 / (math.exp(2.0 * res.r_m) + 1.0)
+        want = math.exp(-abs(2.0 * d.gamma) ** 2 * one_minus_tanh) / math.cosh(res.r_m)
+        assert spd_mismatch_error(d, res).p_mi == pytest.approx(want, rel=1e-12)
+        assert (want == 0.0) == (N == 2e16)
+
     def test_high_energy_floor(self):
         d = design_at_optimal_beta(10.0)
         res = residual(d, MismatchModel(0.02, 0.0))
@@ -388,3 +405,29 @@ class TestFullPipeline:
         p10 = p_err_mismatch(d10, mm, 2).p_err
         p12 = p_err_mismatch(d12, mm, 2).p_err
         assert p10 == pytest.approx(p12, rel=1e-9)
+
+
+class TestMismatchProblem:
+    def test_pairs_both_symbols_and_feeds_every_consumer(self):
+        d = design_at_optimal_beta(1.4)
+        mm = MismatchModel(0.02, 0.03 * math.pi)
+        res = residual(d, mm)
+        problem = mismatch_problem(d, res, 3)
+        assert problem == DecisionProblem(mismatch_count_pmf(d, res, 3, 0),
+                                          mismatch_count_pmf(d, res, 3, 1))
+        assert p_err_mismatch(d, mm, 3) == map_set_decision(problem)
+        assert scenario_problem(d, MismatchScenario(mm, 3)) == (problem,
+                                                                map_set_decision(problem))
+
+    def test_is_the_only_code_that_pairs_the_mismatch_count_pmfs(self):
+        package = pathlib.Path(rm.__file__).parent
+        users = set()
+        for path in package.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name) and node.id == "mismatch_count_pmf"
+                        for node in ast.walk(fn)):
+                    users.add((path.stem, fn.name))
+        assert users == {("receiver_mismatch", "mismatch_problem")}
+        assert not hasattr(cli, "mismatch_count_pmf")
+        assert not hasattr(monte_carlo, "mismatch_count_pmf")
