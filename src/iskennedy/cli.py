@@ -22,9 +22,10 @@ each distinct float formatted once a table.
 Exit codes: 0 ok, 1 reader closed the pipe, 2 usage error, 3 numerical-
 consistency failure or float overflow, 4 validation failure.  Usage errors
 write nothing: an option the subcommand does not take, a sweep variable it
-cannot vary, a non-finite number or Wigner grid span, --M < 1, --nmax < 0
-and --points or --trials < 1 are rejected before output, and so is a value
-a model rejects at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A
+cannot vary, a non-finite number or Wigner grid span, --M < 1, --nmax < 0,
+--points or --trials < 1, an unreadable --config and an --out path that
+cannot be opened are rejected before output, and so is a value a model
+rejects at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A
 negative value may follow its option as a separate word in any float form
 (--dtheta -1e-3).  A dB cell is empty at N = 0 and where one of its
 probabilities underflows to 0.
@@ -302,7 +303,11 @@ def emit(args, blocks) -> int:
     blocks = iter(blocks)
     first = next(blocks)
     to_file = args.out not in (None, "-")
-    with open(args.out, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
+    try:
+        out = open(args.out, "w", newline="") if to_file else nullcontext(sys.stdout)
+    except OSError as exc:  # a missing directory, a directory: a usage error
+        raise ValueError(f"cannot open --out {args.out!r}: {exc.strerror}") from None
+    with out as fh:
         w = Writer(fh, cols, args.format)
         for block in itertools.chain((first,), blocks):
             w.write_block(block)

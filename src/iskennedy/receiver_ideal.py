@@ -9,7 +9,6 @@ an integer threshold.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +16,6 @@ from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
 from .errors import nonnegative
 from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law, resolution
 from .gaussian_states import SignalDesign, binary_symbol
-
-# Threshold accept sets kept: every (n_th, M) of a sweep over a few detectors.  Keys
-# are typed, so a float M misses the cache and is read as a resolution there.
-_ACCEPT_SET_CAP = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,11 +39,12 @@ class DecisionRule:
     """Outcome -> symbol map plus its error budget, a slotted frozen record.
 
     accept_set holds the outcomes mapped to symbol 1.  threshold is set when
-    the rule is of the form {n >= n_th} and None otherwise; such rules share
-    the one set threshold_accept_set keeps, so compare accept sets with ==.
+    the rule is of the form {n >= n_th}, whose accept_set is then
+    range(n_th, M + 1) (threshold_accept_set), and None otherwise, with a
+    frozenset; range(1, 3) != frozenset({1, 2}), so compare like with like.
     """
 
-    accept_set: frozenset[int]
+    accept_set: range | frozenset[int]
     threshold: int | None
     p_fa: float
     p_mi: float
@@ -60,21 +56,19 @@ class DecisionRule:
             raise ValueError("p_err inconsistent with (p_fa + p_mi)/2")
 
     @classmethod
-    def from_rates(cls, accept_set: frozenset[int], threshold: int | None,
+    def from_rates(cls, accept_set: range | frozenset[int], threshold: int | None,
                    p_fa: float, p_mi: float) -> "DecisionRule":
         return cls(accept_set=accept_set, threshold=threshold, p_fa=p_fa, p_mi=p_mi,
                    p_err=0.5 * (p_fa + p_mi))
 
 
-@functools.lru_cache(maxsize=_ACCEPT_SET_CAP, typed=True)
-def threshold_accept_set(n_th: int, M: int) -> frozenset[int]:
-    """{max(n_th, 0), ..., M}: one shared immutable set per (n_th, M), the last
-    _ACCEPT_SET_CAP kept; n_th is read as a whole number (1.0 as 1; 1.5, NaN
-    and +-inf raise ValueError) and M as a resolution."""
+def threshold_accept_set(n_th: int, M: int) -> range:
+    """{max(n_th, 0), ..., M} as a range, O(1) in M; n_th is read as a whole
+    number (1.0 as 1; 1.5, NaN and +-inf raise ValueError) and M as a resolution."""
     k = n_th if n_th.__class__ is int else int(n_th) if -math.inf < n_th < math.inf else None
     if k is None or k != n_th:
         raise ValueError(f"n_th must be a whole number, got {n_th!r}")
-    return frozenset(range(max(k, 0), resolution(M) + 1))
+    return range(k if k > 0 else 0, resolution(M) + 1)
 
 
 def transform_means(design: SignalDesign) -> tuple[float, float]:

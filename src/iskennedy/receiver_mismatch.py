@@ -150,7 +150,7 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
             p_mi += p1[n]
     threshold = None
     if accept and len(accept) == M + 1 - min(accept):  # {n_th, ..., M}, a threshold rule,
-        threshold = min(accept)  # keeps the one shared set, not its own copy
+        threshold = min(accept)  # is the range every threshold rule holds
         accept = threshold_accept_set(threshold, M)
     return DecisionRule.from_rates(accept, threshold, p_fa, p_mi)
 

@@ -271,6 +271,16 @@ def test_config_usage_errors_write_one_line(args, config, message, tmp_path, cap
     assert err.startswith("error: ") and err.rstrip().endswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing_dir/x.csv", "."])
+def test_an_out_path_that_cannot_be_opened_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path / where  # a path in a missing directory, and a directory
+    assert main(["ideal", "--N", "1", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot open --out {str(target)!r}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_a_failing_validation_row_exits_4_naming_it(monkeypatch, capsys):
     from iskennedy import cli
 
@@ -331,13 +341,13 @@ def test_console_script_entrypoint():
 def test_reader_closing_the_pipe_ends_the_run_quietly(unbuffered):
     # 3000 rows (~0.5 MB) outgrow the pipe's buffer, so the writer meets the closed pipe.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "iskennedy.cli", "bounds", "--sweep", "N:0.01:3:3000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    assert proc.stdout.readline().startswith("N,hb_cs,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "iskennedy.cli", "bounds", "--sweep", "N:0.01:3:3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        assert proc.stdout.readline().startswith("N,hb_cs,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == ""
 
 
@@ -481,6 +491,19 @@ def test_readme_subcommand_table_and_exit_codes_match_the_parser():
     assert [int(c) for c in re.findall(r"`(\d+)`", listed)] == sorted(codes)
     listed = cli.__doc__.split("Exit codes: ")[1].split(".")[0]
     assert [int(c) for c in re.findall(r"(\d+) ", listed)] == sorted(codes)
+
+
+def test_readme_library_use_block_runs():
+    import contextlib
+
+    section = (ROOT / "README.md").read_text().split("## Library use")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == code.count("print(") == 5
+    assert lines[3].endswith(" True")  # map_set_decision(problem) == rule
 
 
 def test_package_and_readme_curves_import_no_numpy():

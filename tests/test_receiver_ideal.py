@@ -164,14 +164,14 @@ class TestThresholdEquivalence:
         )
         brute = map_set_decision(problem)
         rule = ideal_decision(design, M)
-        assert brute.accept_set == rule.accept_set == frozenset(range(1, M + 1))
+        assert brute.accept_set == rule.accept_set == range(1, M + 1)
         assert brute.threshold == 1
         assert abs(brute.p_err - rule.p_err) <= 1e-14
 
     def test_zero_energy_is_a_coin_flip(self):
         # Both hypotheses are the vacuum: the threshold-1 rule misses every symbol 1.
         rule = ideal_decision(make_design(0.0, 0.0), 4)
-        assert (rule.accept_set, rule.threshold) == (frozenset({1, 2, 3, 4}), 1)
+        assert (rule.accept_set, rule.threshold) == (range(1, 5), 1)
         assert (rule.p_fa, rule.p_mi, rule.p_err) == (0.0, 1.0, 0.5)
 
 
@@ -224,7 +224,7 @@ class TestSlottedRecords:
         values = {field.name: i for i, field in enumerate(dataclasses.fields(TrialReport))}
         assert vars(TrialReport(**values)) == values
 
-    def test_rules_of_one_threshold_share_one_accept_set(self):
+    def test_rules_of_one_threshold_hold_one_range(self):
         design, M = design_at_optimal_beta(1.0), 4
         det = DetectorModel(eta=0.9, nu=1e-3, M=M)
         imperfect = [p_err_imperfect(design_at_optimal_beta(N), det) for N in (0.6, 0.7)]
@@ -232,23 +232,18 @@ class TestSlottedRecords:
         rules = imperfect + [ideal_decision(design, M), ideal_decision(make_design(0.3, 0.2), M),
                              map_set_decision(problem)]
         assert {rule.threshold for rule in rules} == {1}
-        assert rules[0].accept_set == frozenset(range(1, M + 1))
-        assert len({id(rule.accept_set) for rule in rules}) == 1
+        assert {rule.accept_set for rule in rules} == {range(1, M + 1)}
+        assert all(type(rule.accept_set) is range for rule in rules)
 
-    def test_the_accept_set_cache_holds_at_most_its_cap(self):
-        cap = receiver_ideal._ACCEPT_SET_CAP
-        assert receiver_ideal.threshold_accept_set.cache_info().maxsize == cap
-        for M in range(1, 3 * cap):
-            assert receiver_ideal.threshold_accept_set(M, M) == frozenset({M})
-            assert receiver_ideal.threshold_accept_set.cache_info().currsize <= cap
-        # Typed keys: a float M misses the int entry and is read as a resolution there.
+    def test_the_accept_set_reads_n_th_and_m(self):
+        # A whole float M reads as its int resolution; any other M raises.
         accept_set = receiver_ideal.threshold_accept_set
-        assert accept_set(1, 4.0) == accept_set(1, 4)
+        assert accept_set(1, 4.0) == accept_set(1, 4) == range(1, 5)
         with pytest.raises(ValueError, match="resolution"):
             accept_set(1, 4.5)
         # n_th likewise: a whole float reads as its int, a negative one clamps to 0.
         assert accept_set(1.0, 4) == accept_set(1, 4)
-        assert accept_set(-1.0, 4) == accept_set(-1, 4) == frozenset(range(5))
+        assert accept_set(-1.0, 4) == accept_set(-1, 4) == range(5)
         for n_th in (1.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^n_th must be a whole number"):
                 accept_set(n_th, 4)
@@ -267,3 +262,20 @@ class TestSlottedRecords:
             tracemalloc.stop()
         assert len(kept) == 10_000
         assert held / len(kept) <= 250
+
+    @pytest.mark.parametrize("decide", [
+        lambda design, M: p_err_imperfect(design, DetectorModel(1.0, 1e-3, M)),
+        ideal_decision,
+    ], ids=["p_err_imperfect", "ideal_decision"])
+    def test_a_threshold_rule_costs_no_memory_in_m(self, decide):
+        design, M = design_at_optimal_beta(1.0), 3_000_000
+        decide(design, 4)  # first-call allocations (scipy, kept dark tails) are not M's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rule = decide(design, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.accept_set == range(rule.threshold, M + 1)
+        assert peak <= 4096
