@@ -10,14 +10,17 @@ vacuum variance is 1/2 and the squeezed X-variance is exp(-2r)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import finite, nonnegative
 
 
 @dataclass(frozen=True, slots=True)
 class SignalDesign:
-    """One point of the alphabet parameterization.
+    """One point of the alphabet parameterization, built from (N, beta) alone.
+
+    alpha, r, gamma and n_eff are derived, never passed: `dataclasses.replace`
+    recomputes them, and raises ValueError if asked to set one.
 
     Attributes
     ----------
@@ -26,9 +29,9 @@ class SignalDesign:
     beta : float
         Squeezing fraction sinh^2(r)/N, in [0, 1].
     alpha : float
-        Real displacement amplitude, >= 0.
+        Real displacement amplitude sqrt(N(1 - beta)), >= 0.
     r : float
-        Squeezing magnitude, >= 0.
+        Squeezing magnitude asinh sqrt(N beta), >= 0.
     gamma : float
         Effective amplitude alpha*exp(r) seen after inverse squeezing.
     n_eff : float
@@ -37,10 +40,26 @@ class SignalDesign:
 
     N: float
     beta: float
-    alpha: float
-    r: float
-    gamma: float
-    n_eff: float
+    alpha: float = field(init=False)
+    r: float = field(init=False)
+    gamma: float = field(init=False)
+    n_eff: float = field(init=False)
+
+    def __post_init__(self):
+        N, beta = self.N, self.beta
+        nonnegative(N, "N")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"squeezing fraction must lie in [0, 1], got {beta}")
+        alpha = math.sqrt(N * (1.0 - beta))
+        r = math.asinh(math.sqrt(N * beta))
+        gamma = alpha * math.exp(r)
+        n_eff = gamma * gamma
+        if n_eff == math.inf:
+            raise OverflowError(f"the effective photon number overflows at N = {N!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "n_eff", n_eff)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,17 +90,8 @@ def optimal_beta(N: float) -> float:
 
 
 def make_design(N: float, beta: float) -> SignalDesign:
-    """Build the alphabet point for total energy N and squeezing fraction beta."""
-    nonnegative(N, "N")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"squeezing fraction must lie in [0, 1], got {beta}")
-    alpha = math.sqrt(N * (1.0 - beta))
-    r = math.asinh(math.sqrt(N * beta))
-    gamma = alpha * math.exp(r)
-    n_eff = gamma * gamma
-    if n_eff == math.inf:
-        raise OverflowError(f"the effective photon number overflows at N = {N!r}")
-    return SignalDesign(N=N, beta=beta, alpha=alpha, r=r, gamma=gamma, n_eff=n_eff)
+    """The alphabet point for total energy N and squeezing fraction beta: SignalDesign(N, beta)."""
+    return SignalDesign(N, beta)
 
 
 def design_at_optimal_beta(N: float) -> SignalDesign:

@@ -38,14 +38,13 @@ class DecisionProblem:
 class DecisionRule:
     """Outcome -> symbol map plus its error budget, a slotted frozen record.
 
-    accept_set holds the outcomes mapped to symbol 1.  threshold is set when
-    the rule is of the form {n >= n_th}, whose accept_set is then
-    range(n_th, M + 1) (threshold_accept_set), and None otherwise, with a
-    frozenset; range(1, 3) != frozenset({1, 2}), so compare like with like.
+    accept_set holds the outcomes mapped to symbol 1: range(n_th, M + 1)
+    (threshold_accept_set) for a rule of the form {n >= n_th}, and a frozenset
+    otherwise; range(1, 3) != frozenset({1, 2}), so compare like with like.
+    p_err must equal (p_fa + p_mi)/2 (from_rates computes it).
     """
 
     accept_set: range | frozenset[int]
-    threshold: int | None
     p_fa: float
     p_mi: float
     p_err: float
@@ -55,11 +54,15 @@ class DecisionRule:
         if abs(self.p_err - expected) > 1e-14:
             raise ValueError("p_err inconsistent with (p_fa + p_mi)/2")
 
+    @property
+    def threshold(self) -> int | None:
+        """n_th of a threshold rule, read from its range; None for a frozenset."""
+        return self.accept_set.start if isinstance(self.accept_set, range) else None
+
     @classmethod
-    def from_rates(cls, accept_set: range | frozenset[int], threshold: int | None,
-                   p_fa: float, p_mi: float) -> "DecisionRule":
-        return cls(accept_set=accept_set, threshold=threshold, p_fa=p_fa, p_mi=p_mi,
-                   p_err=0.5 * (p_fa + p_mi))
+    def from_rates(cls, accept_set: range | frozenset[int], p_fa: float,
+                   p_mi: float) -> "DecisionRule":
+        return cls(accept_set=accept_set, p_fa=p_fa, p_mi=p_mi, p_err=0.5 * (p_fa + p_mi))
 
 
 def threshold_accept_set(n_th: int, M: int) -> range:
@@ -149,4 +152,4 @@ def ideal_decision(design: SignalDesign, M: int) -> DecisionRule:
     the truncated space.  At zero energy both hypotheses are the vacuum and the
     rule errs half the time (p_err 0.5)."""
     p_mi = math.exp(-transform_means(design)[1])  # P(n = 0 | symbol 1)
-    return DecisionRule.from_rates(threshold_accept_set(1, M), 1, 0.0, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(1, M), 0.0, p_mi)

@@ -62,13 +62,13 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
     threshold; misses are the lower tail of the signal+dark mean.  Lumping
     counts >= M into one bin changes neither tail for thresholds <= M.
     """
-    signal = 4.0 * det.eta * nonnegative(design.n_eff, "n_eff")
+    signal = 4.0 * det.eta * design.n_eff
     n_th = _map_threshold(det.nu, signal)  # optimal_threshold inline, with no min() call
     if n_th > det.M:
         n_th = det.M
     p_fa = _false_alarm(n_th, det.nu)
     p_mi = poisson_cdf_below(n_th, signal + det.nu)
-    return DecisionRule.from_rates(threshold_accept_set(n_th, det.M), n_th, p_fa, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(n_th, det.M), p_fa, p_mi)
 
 
 def saturation_floor(M: int, nu: float) -> float:

@@ -148,11 +148,9 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     for n in range(M + 1):
         if n not in accept:
             p_mi += p1[n]
-    threshold = None
     if accept and len(accept) == M + 1 - min(accept):  # {n_th, ..., M}, a threshold rule,
-        threshold = min(accept)  # is the range every threshold rule holds
-        accept = threshold_accept_set(threshold, M)
-    return DecisionRule.from_rates(accept, threshold, p_fa, p_mi)
+        accept = threshold_accept_set(min(accept), M)  # is the range every threshold rule holds
+    return DecisionRule.from_rates(accept, p_fa, p_mi)
 
 
 def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> DecisionRule:
@@ -160,7 +158,7 @@ def spd_mismatch_error(design: SignalDesign, res: ResidualSqueezing) -> Decision
     not empty), and P_Mi is the vacuum element of the symbol-1 law (mismatch_law)."""
     p_fa = -math.expm1(-math.log(math.cosh(res.r_m)))  # 1 - 1/cosh r_m
     p_mi = mismatch_law(design, res, 1)(0)
-    return DecisionRule.from_rates(threshold_accept_set(1, 1), 1, p_fa, p_mi)
+    return DecisionRule.from_rates(threshold_accept_set(1, 1), p_fa, p_mi)
 
 
 def parity_saturation_floor(M: int, delta_r: float) -> float:

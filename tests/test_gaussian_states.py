@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ from scipy.special import erfc
 
 from iskennedy import (
     PhaseSpacePoint,
+    SignalDesign,
     design_at_optimal_beta,
     homodyne_pdf,
     make_design,
@@ -64,15 +66,20 @@ class TestMakeDesign:
         assert d.gamma == 0.0
         assert d.n_eff == 0.0
 
-    @pytest.mark.parametrize("N,beta", [(-1.0, 0.5), (1.0, -0.01), (1.0, 1.01)])
+    @pytest.mark.parametrize("N,beta", [(-1.0, 0.5), (1.0, -0.01), (1.0, 1.01),
+                                        (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan)])
     def test_domain_errors(self, N, beta):
         with pytest.raises(ValueError):
             make_design(N, beta)
+        with pytest.raises(ValueError):  # replace rebuilds, so it checks as well
+            dataclasses.replace(make_design(1.0, 0.5), N=N, beta=beta)
 
     @pytest.mark.parametrize("N,beta", [(1e160, 0.5), (1e300, 0.5), (1.7e308, 0.01)])
     def test_an_overflowing_effective_photon_number_names_n(self, N, beta):
         with pytest.raises(OverflowError, match=re.escape(f"at N = {N!r}")):
             make_design(N, beta)
+        with pytest.raises(OverflowError, match=re.escape(f"at N = {N!r}")):
+            dataclasses.replace(make_design(1.0, 0.5), N=N, beta=beta)
 
     def test_energy_bookkeeping_on_grid(self):
         for N in np.linspace(0.1, 3.0, 16):
@@ -85,6 +92,35 @@ class TestMakeDesign:
         for N in np.linspace(0.1, 3.0, 16):
             d = design_at_optimal_beta(N)
             assert d.n_eff == pytest.approx(N * (N + 1.0), rel=1e-12)
+
+
+def _formula_fields(N, beta):
+    """(N, beta, alpha, r, gamma, n_eff) by the alphabet formulas, spelled out."""
+    alpha = math.sqrt(N * (1.0 - beta))
+    r = math.asinh(math.sqrt(N * beta))
+    gamma = alpha * math.exp(r)
+    return N, beta, alpha, r, gamma, gamma * gamma
+
+
+class TestDesignFromItsInputs:
+    """A SignalDesign is built from (N, beta) alone and derives alpha, r, gamma, n_eff."""
+
+    def test_only_n_and_beta_are_constructor_fields(self):
+        assert [f.name for f in dataclasses.fields(SignalDesign) if f.init] == ["N", "beta"]
+        with pytest.raises(TypeError):
+            SignalDesign(N=1.0, beta=0.5, alpha=0.1, r=0.0, gamma=5.0, n_eff=0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(N=st.floats(0.0, 1e6), beta=st.floats(0.0, 1.0), other=st.floats(0.0, 1e6))
+    def test_fields_are_the_formulas_and_replace_recomputes_them(self, N, beta, other):
+        design = SignalDesign(N, beta)
+        got = [getattr(design, f.name) for f in dataclasses.fields(SignalDesign)]
+        assert list(map(repr, got)) == list(map(repr, _formula_fields(N, beta)))
+        assert design == make_design(N, beta)
+        assert dataclasses.replace(design, N=other) == make_design(other, beta)
+        for derived in ("alpha", "r", "gamma", "n_eff"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(design, **{derived: 0.0})
 
 
 class TestWigner:

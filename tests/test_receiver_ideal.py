@@ -28,12 +28,15 @@ from iskennedy import (
     make_design,
     map_set_decision,
     map_threshold_ideal,
+    mismatch_problem,
+    optimal_threshold,
     p_err_ideal,
     p_err_imperfect,
     p_err_kennedy,
     ratio_db,
     ratio_to_helstrom,
     residual,
+    spd_mismatch_error,
     sql_cs,
     sql_dss_opt,
     transform_means,
@@ -178,12 +181,22 @@ class TestThresholdEquivalence:
 class TestDecisionTypes:
     def test_rule_error_consistency_enforced(self):
         with pytest.raises(ValueError):
-            DecisionRule(accept_set=frozenset({1}), threshold=1,
-                         p_fa=0.1, p_mi=0.2, p_err=0.3)
+            DecisionRule(accept_set=frozenset({1}), p_fa=0.1, p_mi=0.2, p_err=0.3)
 
     def test_rule_from_rates(self):
-        rule = DecisionRule.from_rates(frozenset({1, 2}), 1, 0.1, 0.2)
+        rule = DecisionRule.from_rates(frozenset({1, 3}), 0.1, 0.2)
         assert rule.p_err == pytest.approx(0.15)
+        assert rule.threshold is None
+        assert DecisionRule.from_rates(range(2, 5), 0.1, 0.2).threshold == 2
+
+    def test_a_rule_is_built_from_its_four_fields_and_the_threshold_is_read(self):
+        init = [f.name for f in dataclasses.fields(DecisionRule) if f.init]
+        assert init == ["accept_set", "p_fa", "p_mi", "p_err"]
+        with pytest.raises(TypeError):
+            DecisionRule(accept_set=range(1, 5), threshold=1, p_fa=0.0, p_mi=0.5, p_err=0.25)
+        rule = DecisionRule.from_rates(range(1, 5), 0.0, 0.5)
+        with pytest.raises((AttributeError, TypeError)):  # TypeError: frozen slots on 3.11
+            rule.threshold = 2
 
     def test_problem_requires_matching_resolution(self):
         design = design_at_optimal_beta(1.0)
@@ -216,7 +229,7 @@ class TestSlottedRecords:
     def test_replace_rebuilds_and_rechecks_a_rule(self):
         rule = ideal_decision(design_at_optimal_beta(1.0), 4)
         moved = dataclasses.replace(rule, p_mi=0.25, p_err=0.5 * (rule.p_fa + 0.25))
-        assert moved == DecisionRule.from_rates(rule.accept_set, 1, rule.p_fa, 0.25)
+        assert moved == DecisionRule.from_rates(rule.accept_set, rule.p_fa, 0.25)
         with pytest.raises(ValueError):
             dataclasses.replace(rule, p_fa=0.5)
 
@@ -234,6 +247,23 @@ class TestSlottedRecords:
         assert {rule.threshold for rule in rules} == {1}
         assert {rule.accept_set for rule in rules} == {range(1, M + 1)}
         assert all(type(rule.accept_set) is range for rule in rules)
+
+    def test_every_producer_reads_its_threshold_from_a_range(self):
+        mm, rules = MismatchModel(0.02, 0.05), []
+        for N in (0.0, 0.3, 1.0, 3.0):
+            design = design_at_optimal_beta(N)
+            for det in (DetectorModel(0.9, nu, M) for nu in (0.0, 1e-2, 2.0) for M in (1, 4)):
+                rule = p_err_imperfect(design, det)
+                assert rule.threshold == optimal_threshold(det, design.n_eff)
+                rules.append(rule)
+            res = residual(design, mm)
+            rules += [ideal_decision(design, M) for M in (1, 4)]
+            rules += [map_set_decision(mismatch_problem(design, res, M)) for M in (1, 3, 10)]
+            rules.append(spd_mismatch_error(design, res))
+        assert {type(rule.accept_set) for rule in rules} == {range, frozenset}
+        for rule in rules:
+            is_range = type(rule.accept_set) is range
+            assert rule.threshold == (rule.accept_set.start if is_range else None)
 
     def test_the_accept_set_reads_n_th_and_m(self):
         # A whole float M reads as its int resolution; any other M raises.
