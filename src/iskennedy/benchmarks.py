@@ -62,10 +62,14 @@ def sql_dss_opt(N: float) -> float:
 
 
 def ratio_db(a: float, b: float) -> float:
-    """10 log10(a/b); both inputs must be positive."""
+    """10 log10(a/b); both inputs must be positive.  Where a/b under- or overflows
+    (a subnormal p_err under sql_cs), it is 10 (log10 a - log10 b), still finite."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"ratio_db requires finite positive probabilities, got ({a!r}, {b!r})")
-    return 10.0 * math.log10(a / b)
+    q = a / b
+    if 0.0 < q < math.inf:
+        return 10.0 * math.log10(q)
+    return 10.0 * (math.log10(a) - math.log10(b))
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-6) -> float:

@@ -14,8 +14,12 @@ Fock-space oracle in the test suite).  A KeptLaw computes each value once, in
 order of n, keeps those up to the largest n read (at most 4M + 401 through
 apply_detector_to_pmf at resolution M) and gives clamp_to_resolution its head
 P(0..M-1) in one read; extending a law holds its own lock, so photon_pmf can
-share one per (A, r, theta), holding the last _LAW_CAP = 8.  Plain Python
-floats throughout: no numpy.
+share one per (A, r, theta), holding the last _LAW_CAP = 8.  The kept laws and
+apply_detector_to_pmf's thinning matrix read log n! from one process-wide table,
+_LOG_FACT, whose entry n is the double math.lgamma(n + 1) itself: it grows in
+order of n under its own lock, and only as far as the counts a law has produced
+or a matrix indexes; single values (poisson_pmf, sv_pmf) never grow it.
+Plain Python floats throughout: no numpy.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ _SV_TAIL_TERMS = 100_000
 # Laws photon_pmf keeps: room for the two symbol laws of a few operating points.
 _LAW_CAP = 8
 
+# log n! for n = 0, 1, ..., entry n the double math.lgamma(n + 1); see log_factorials.
+_LOG_FACT: list[float] = []
+_LOG_FACT_LOCK = threading.Lock()
+
 
 def resolution(M) -> int:
     """A detector resolution as an int; 2.0 reads as 2, and anything but a
@@ -62,6 +70,17 @@ def _count(n) -> int:
     if k < 0 or k != n:
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
     return k
+
+
+def log_factorials(size: int) -> list[float]:
+    """The shared table [log 0!, log 1!, ...] of at least `size` entries, each math.lgamma(n + 1);
+    grown in order of n, under its own lock, only when `size` reads past its end.  The list
+    itself is returned: read it, never write it."""
+    table = _LOG_FACT
+    if size > len(table):
+        with _LOG_FACT_LOCK:
+            table.extend(map(math.lgamma, range(len(table) + 1, size + 1)))
+    return table
 
 
 def poisson_pmf(n: int, mu: float) -> float:
@@ -140,12 +159,16 @@ def _sv_term(k: int, log_t: float, log_cosh: float) -> float:
 
 
 def _sv_values(r: float) -> Iterator[float]:
-    """Squeezed-vacuum pmf (r > 0) for n = 0, 1, ..., the logs taken once."""
+    """Squeezed-vacuum pmf (r > 0) for n = 0, 1, ..., the logs taken once: _sv_term's
+    expression with its log-factorials read from the shared table."""
     yield 1.0 / math.cosh(r)
-    log_t, log_cosh = math.log(math.tanh(r)), math.log(math.cosh(r))
-    for k in count(1):
+    log_t, log_cosh, log_2 = math.log(math.tanh(r)), math.log(math.cosh(r)), math.log(2.0)
+    log_fact = _LOG_FACT
+    for n in count(2, 2):
         yield 0.0
-        yield _sv_term(k, log_t, log_cosh)
+        if n >= len(log_fact):
+            log_fact = log_factorials(n + 1)
+        yield math.exp(log_fact[n] - n * log_2 - 2 * log_fact[n >> 1] + n * log_t - log_cosh)
 
 
 def sv_tail_ge(n_min: int, r: float) -> float:
@@ -160,7 +183,9 @@ def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
     from z = w / sqrt(sinh 2r), w = A e^{-j theta/2}, taken as a reciprocal multiply.  The
     Gaussian factor -|A|^2 + Re(w^2) tanh r is summed as written up to |A|^2 = 1024 (rounding
     of order |A|^2 2^-52 in log P), above that as -(|A|^2 (1 - tanh r) + 2 Im(w)^2 tanh r),
-    which keeps its digits where tanh r rounds to 1 (r >= 19.06) and the sum would cancel."""
+    which keeps its digits where tanh r rounds to 1 (r >= 19.06) and the sum would cancel.
+    |H_n| is taken once a step: the last step left |H_{n-1}| <= _RESCALE_AT, so |H_n| alone
+    decides a rescale, and is the larger of the two when it does."""
     A, t = complex(A), math.tanh(r)
     w = A * cmath.exp(-0.5j * theta)
     two_z = 2.0 * (w * (1.0 / math.sqrt(math.sinh(2.0 * r))))
@@ -168,20 +193,23 @@ def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
     log_half_t, log_cosh, abs2 = math.log(t / 2.0), math.log(math.cosh(r)), abs(A) ** 2
     if abs2 > 1024.0:  # 1 - tanh r = e^-r / cosh r
         abs2, quad = 0.0, -(abs2 * (math.exp(-r) / math.cosh(r)) + 2.0 * w.imag ** 2 * t)
-    h_prev, h, log_scale = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+    h_prev, h, abs_h, log_scale, log_fact = 0.0 + 0.0j, 1.0 + 0.0j, 1.0, 0.0, _LOG_FACT
     for k in count():
         if k:
             h_prev, h = h, two_z * h - 2.0 * (k - 1) * h_prev
-            m = max(abs(h), abs(h_prev))
-            if m > _RESCALE_AT:
-                h /= m
-                h_prev /= m
-                log_scale += math.log(m)
-        if h == 0:
+            abs_h = abs(h)
+            if abs_h > _RESCALE_AT:
+                h /= abs_h
+                h_prev /= abs_h
+                log_scale += math.log(abs_h)
+                abs_h = abs(h)  # h / abs_h need not have modulus exactly 1
+        if abs_h == 0.0:
             yield 0.0
             continue
-        log_p = (k * log_half_t - math.lgamma(k + 1) - log_cosh
-                 + 2.0 * (math.log(abs(h)) + log_scale) - abs2 + quad)
+        if k >= len(log_fact):
+            log_fact = log_factorials(k + 1)
+        log_p = (k * log_half_t - log_fact[k] - log_cosh
+                 + 2.0 * (math.log(abs_h) + log_scale) - abs2 + quad)
         yield math.exp(log_p)
 
 
@@ -201,6 +229,10 @@ class KeptLaw:
     def head(self, M: int) -> list[float]:
         """[P(0), ..., P(M - 1)] as a new list, for a resolution M (not checked here)."""
         return (self._probs if M <= len(self._probs) else self._extend(M))[:M]
+
+    def kept(self, size: int) -> list[float]:
+        """The values computed so far, at most `size` of them, as a new list; computes none."""
+        return self._probs[:size]
 
     def _extend(self, size: int) -> list[float]:
         with self._lock:

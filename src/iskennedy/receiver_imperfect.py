@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NumericalConsistencyError, nonnegative
-from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_cdf_below,
-                              poisson_law, poisson_tail_ge, resolution)
+from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, log_factorials,
+                              poisson_cdf_below, poisson_law, poisson_tail_ge, resolution)
 from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionRule, _map_threshold, threshold_accept_set, transform_means
 
@@ -92,16 +93,19 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     Experimental composition used only by the CLI: detected counts are a
     binomial thinning of the incident count plus independent Poisson darks.
     `pmf` maps an incident photon number to its probability; incident numbers
-    are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400; the
-    rest is lumped into bin M, exact only at eta = 1 (else NumericalConsistencyError).
+    are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400, and
+    none past that is read (a KeptLaw's kept values in one slice, then pmf(k));
+    the rest is lumped into bin M, exact only at eta = 1 (else NumericalConsistencyError).
     Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
     identity at eta = 1); the darks are convolved in, truncated at M.
     """
     import numpy as np  # the one array kernel here; the scalar receivers need no numpy
+    limit = 4 * det.M + 401
+    kept = pmf.kept(limit) if isinstance(pmf, KeptLaw) else []
     incident, covered = [], 0.0
-    for k in range(4 * det.M + 401):
-        incident.append(pmf(k))
-        covered += incident[-1]
+    for p in chain(kept, map(pmf, range(len(kept), limit))):
+        incident.append(p)
+        covered += p
         if 1.0 - covered < 1e-12:
             break
     M, K = det.M, len(incident)
@@ -112,10 +116,13 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     else:
         j, k = np.arange(M)[:, None], np.arange(K)
         lost = np.maximum(k - j, 0)
-        log_fact = np.array([math.lgamma(i + 1) for i in range(max(M, K))])
+        size = max(M, K)
+        log_fact = np.array(log_factorials(size)[:size])
         log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
                  + j * math.log(det.eta) + lost * math.log1p(-det.eta))
         thinning = np.where(k >= j, np.exp(log_b), 0.0)
     dark = np.array(poisson_law(det.nu).head(M))
     detected = np.convolve(thinning @ np.array(incident), dark)[:M]
-    return CountDistribution(probs=np.append(detected, max(0.0, 1.0 - detected.sum())), M=M)
+    probs = detected.tolist()
+    probs.append(max(0.0, 1.0 - detected.sum()))
+    return CountDistribution(probs=probs, M=M)

@@ -16,6 +16,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge
 
 from .errors import finite, nonnegative
 from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, photon_pmf,
@@ -141,13 +143,13 @@ def map_set_decision(problem: DecisionProblem) -> DecisionRule:
     1 - sum_n max{P(n|0), P(n|1)}/2, the minimum over all labelings.
     """
     p0, p1, M = problem.dist0.probs, problem.dist1.probs, problem.M
-    accept = frozenset(n for n in range(M + 1) if p1[n] >= p0[n])
+    accept = frozenset(compress(range(M + 1), map(ge, p1, p0)))
     p_fa = p_mi = 0.0
     for n in accept:  # plain loops: sum() compensates floats on Python >= 3.12
         p_fa += p0[n]
-    for n in range(M + 1):
-        if n not in accept:
-            p_mi += p1[n]
+    for x0, x1 in zip(p0, p1):  # ascending n, over the rejected outcomes
+        if x1 < x0:
+            p_mi += x1
     if accept and len(accept) == M + 1 - min(accept):  # {n_th, ..., M}, a threshold rule,
         accept = threshold_accept_set(min(accept), M)  # is the range every threshold rule holds
     return DecisionRule.from_rates(accept, p_fa, p_mi)

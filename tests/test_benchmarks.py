@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_ratio_db():
         ratio_db(0.0, 1.0)
     with pytest.raises(ValueError):
         ratio_db(1.0, -2.0)
+
+
+_POSITIVE_FINITE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@given(_POSITIVE_FINITE, _POSITIVE_FINITE)
+@example(6.6698862188568283e-322, 2.2636197259043627e-13)  # ideal --N 13.1: p_err, sql_cs
+@example(2.2636197259043627e-13, 6.6698862188568283e-322)
+@example(sys.float_info.max, 5e-324)
+@example(5e-324, sys.float_info.max)
+def test_ratio_db_is_finite_and_the_quotient_form_where_that_is(a, b):
+    db = ratio_db(a, b)
+    assert math.isfinite(db)
+    q = a / b
+    if 0.0 < q < math.inf:
+        assert db == 10.0 * math.log10(q)
+    else:
+        assert db == 10.0 * (math.log10(a) - math.log10(b))
+        assert (db > 0.0) == (a > b)
 
 
 def test_monotonicity_in_energy():

@@ -56,6 +56,22 @@ def test_bounds_zero_energy_row():
     assert row["db_sql_cs_vs_hb_cs"] == ""
 
 
+def test_ideal_gains_stay_finite_where_p_err_is_subnormal():
+    # N in [13.095, 13.147]: p_err is subnormal, sql_cs / p_err overflows, and the gain
+    # cells once read inf, so the block exited 3 ("non-finite metric").
+    code, out = run_cli(["ideal", "--sweep", "N:13:13.2:41"])
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 41
+    db_columns = [c for c in rows[0] if "db" in c]
+    assert len(db_columns) == 5
+    subnormal = [r for r in rows if 0.0 < float(r["p_err"]) < sys.float_info.min]
+    assert subnormal and all(r["gain_db_vs_sql_cs"] for r in subnormal)
+    for row in rows:
+        for c in db_columns:
+            assert row[c] == "" or math.isfinite(float(row[c])), (row["N"], c)
+
+
 @pytest.mark.parametrize("args", [["detector", "--N", "0"],
                                   ["thresholds", "--sweep", "N:0:3:4", "--M", "3"]])
 def test_detector_zero_energy_row_is_a_coin_flip(args):

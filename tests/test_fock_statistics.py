@@ -870,6 +870,95 @@ class TestNumpyFreeSpellings:
             assert _bits(math.exp(x)) == _bits(float(np.exp(x))), x
 
 
+def _lgamma_sv_law(r):
+    """The squeezed-vacuum law spelled value by value through _sv_term's math.lgamma calls."""
+    log_t, log_cosh = math.log(math.tanh(r)), math.log(math.cosh(r))
+    yield 1.0 / math.cosh(r)
+    for k in itertools.count(1):
+        yield 0.0
+        yield fock_statistics._sv_term(k, log_t, log_cosh)
+
+
+class TestLogFactorialTable:
+    """The kept laws read log n! from one shared table, and give the bits of math.lgamma."""
+
+    def test_every_entry_is_math_lgamma(self):
+        table = fock_statistics.log_factorials(1500)
+        assert len(table) >= 1500
+        assert all(type(x) is float for x in table)
+        assert _bits(*table) == _bits(*(math.lgamma(n + 1) for n in range(len(table))))
+
+    def test_laws_grow_a_fresh_table_only_to_the_counts_they_produced(self, monkeypatch):
+        monkeypatch.setattr(fock_statistics, "_LOG_FACT", [])
+        fock_statistics.KeptLaw(fock_statistics._dss_values(1.2 - 0.3j, 0.4, 0.5)).head(50)
+        assert len(fock_statistics._LOG_FACT) == 50
+        fock_statistics.KeptLaw(fock_statistics._sv_values(0.4)).head(81)
+        assert len(fock_statistics._LOG_FACT) == 81  # P(80) reads log 80!
+        assert fock_statistics.log_factorials(10) is fock_statistics._LOG_FACT
+        assert len(fock_statistics._LOG_FACT) == 81
+
+    def test_single_values_never_grow_it(self):
+        size = len(fock_statistics._LOG_FACT)
+        start = time.perf_counter()
+        assert poisson_pmf(10**6, 3.0) == 0.0
+        assert sv_pmf(10**6, 10.0) > 0.0
+        assert fock_statistics._sv_term(10**6, math.log(math.tanh(10.0)), 10.0) > 0.0
+        assert time.perf_counter() - start < 0.01
+        assert len(fock_statistics._LOG_FACT) == size
+
+    def test_eight_threads_growing_it_at_once_give_the_same_table(self, monkeypatch):
+        # A handful of threads, each growing by laws and by direct reads in its own order.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(5):
+                monkeypatch.setattr(fock_statistics, "_LOG_FACT", [])
+                start = threading.Barrier(8, timeout=60)
+                errors = []
+
+                def grow(seed):
+                    draw = random.Random(seed)
+                    start.wait()
+                    try:
+                        for _ in range(20):
+                            size = draw.randrange(1, 1200)
+                            if draw.random() < 0.5:
+                                assert len(fock_statistics.log_factorials(size)) >= size
+                            else:
+                                fock_statistics.KeptLaw(
+                                    fock_statistics._dss_values(1.5 + 0.5j, 0.7, 1.3)).head(size)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=grow, args=(100 * rnd + k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                table = fock_statistics._LOG_FACT
+                assert 1 <= len(table) < 1200
+                assert _bits(*table) == _bits(*(math.lgamma(n + 1) for n in range(len(table))))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_sv_law_matches_lgamma_spelling_bit_for_bit(self):
+        rng = random.Random(20261021)
+        rs = [1e-8, 0.5, 19.5] + [10.0 ** rng.uniform(-8.0, 1.5) for _ in range(300)]
+        for r in rs:
+            new = fock_statistics.KeptLaw(fock_statistics._sv_values(r)).head(801)
+            old = fock_statistics.KeptLaw(_lgamma_sv_law(r)).head(801)
+            assert _bits(*new) == _bits(*old), r
+
+    @pytest.mark.parametrize("A, r, theta, n", _RESCALED)
+    def test_dss_law_matches_lgamma_spelling_through_the_rescales(self, A, r, theta, n):
+        # |H_n| is taken once a step, and again only after a rescale.
+        new = fock_statistics.KeptLaw(fock_statistics._dss_values(A, r, theta)).head(1201)
+        old = fock_statistics.KeptLaw(_numpy_dss_law(A, r, theta)).head(1201)
+        assert _bits(*new) == _bits(*old)
+
+
 # N = 2e16 at the optimal split: r = 19.11, past r = 19.06 where tanh r rounds to 1.
 _TANH_ONE = design_at_optimal_beta(2e16)
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,13 +24,18 @@ from iskennedy import (
     saturation_floor,
     sv_pmf,
 )
-from iskennedy import receiver_imperfect
+from iskennedy import fock_statistics, receiver_imperfect
 from iskennedy.fock_statistics import photon_pmf, poisson_tail_ge
 from iskennedy.receiver_ideal import _map_threshold
 from iskennedy.receiver_imperfect import apply_detector_to_pmf
 from iskennedy.receiver_mismatch import mismatch_law
 
 from oracles import detector_composition
+
+
+def _bits(probs):
+    return struct.pack(f"{len(probs)}d", *probs)
+
 
 # Incident laws for the detector composition: name -> pmf(k).
 INCIDENT = {
@@ -319,6 +325,47 @@ class TestDetectorComposition:
         reference, reference_calls = detector_composition(INCIDENT[law], eta, nu, M, cutoff)
         np.testing.assert_allclose(composed.probs, reference, rtol=0, atol=1e-15)
         assert calls == list(range(reference_calls))
+
+    @pytest.mark.parametrize("eta, nu, M", [(0.9, 1e-3, 3), (0.5, 0.0, 10), (1.0, 1e-2, 1)])
+    @pytest.mark.parametrize("law", [(1.5 + 0.5j, 0.3, 0.7), (0.0, 0.6, 0.0), (2.0, 0.0, 0.0)])
+    def test_kept_prefixes_give_the_bits_of_plain_reads(self, law, eta, nu, M):
+        # The kept prefix is read in one slice and the rest count by count, to the same
+        # count K where coverage reaches 1 - 1e-12, whatever the prefix holds.
+        det = DetectorModel(eta=eta, nu=nu, M=M)
+        calls = []
+
+        def plain(k):
+            calls.append(k)
+            return fock_statistics._law.__wrapped__(*law)(k)
+
+        want = apply_detector_to_pmf(plain, det).probs
+        K = len(calls)
+        assert calls == list(range(K)) and K < 4 * M + 401
+        for prefix in (0, K // 2, K - 1, K, K + 1, K + 60):
+            kept = fock_statistics._law.__wrapped__(*law)
+            kept.head(prefix)
+            assert _bits(apply_detector_to_pmf(kept, det).probs) == _bits(want)
+            assert len(kept.kept(10**6)) == max(prefix, K)  # no count past K was computed
+
+    def test_a_law_that_fails_past_its_coverage_is_not_read_there(self):
+        det = DetectorModel(eta=0.9, nu=1e-3, M=3)
+        values = fock_statistics._law.__wrapped__(1.5 + 0.5j, 0.3, 0.7).head(4 * 3 + 401)
+        calls = []
+        want = apply_detector_to_pmf(lambda k: calls.append(k) or values[k], det).probs
+        K = len(calls)
+
+        def failing():
+            yield from values[:K]
+            raise RuntimeError("read past the coverage count")
+
+        for prefix in (0, 3, K):
+            law = fock_statistics.KeptLaw(failing())
+            law.head(prefix)
+            assert _bits(apply_detector_to_pmf(law, det).probs) == _bits(want)
+            with pytest.raises(RuntimeError, match="past the coverage count"):
+                law(K)
+        plain = apply_detector_to_pmf(lambda k: values[k] if k < K else 1 / 0, det).probs
+        assert _bits(plain) == _bits(want)
 
     def test_an_uncovered_incident_law_raises_below_unit_efficiency(self):
         # N = 10: the symbol-1 law has mean about 440, and the 405 terms read at M = 1 hold

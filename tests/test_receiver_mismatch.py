@@ -3,10 +3,11 @@ import cmath
 import itertools
 import math
 import pathlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iskennedy import (
@@ -308,6 +309,69 @@ class TestMapSetDecision:
         excluded_even = [n for n in (2,) if n not in rule.accept_set]
         assert excluded_even, f"accept set {sorted(rule.accept_set)} is an interval"
         assert rule.threshold is None
+
+
+def _old_map_set(p0, p1, M):
+    """map_set_decision's accept set and rates as its loops once spelled them; p_fa is summed
+    in the frozenset's iteration order (ROADMAP item 6 owns making it ascending)."""
+    accept = frozenset(n for n in range(M + 1) if p1[n] >= p0[n])
+    p_fa = p_mi = 0.0
+    for n in accept:
+        p_fa += p0[n]
+    for n in range(M + 1):
+        if n not in accept:
+            p_mi += p1[n]
+    return accept, p_fa, p_mi
+
+
+@st.composite
+def _count_problems(draw):
+    """Two count laws at one resolution M, some values tied, each law's last bin its
+    remainder: weights from a small grid or [0, 1], one scale for both.  Sparse problems
+    give symbol 1 weight only where tied, so that small accept sets of large counts
+    iterate out of ascending order."""
+    M = draw(st.integers(1, 120))
+    weight = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 1.0)
+    w0 = draw(st.lists(weight, min_size=M, max_size=M))
+    other = draw(st.lists(weight, min_size=M, max_size=M))
+    ties = draw(st.lists(st.integers(0, 7), min_size=M, max_size=M))
+    if draw(st.booleans()):
+        other = [0.0] * M
+    w1 = [a if tie == 0 else b for a, b, tie in zip(w0, other, ties)]
+    scale = draw(st.floats(0.25, 1.0)) / max(1.0, sum(w0), sum(w1))
+    dists = []
+    for w in (w0, w1):
+        probs, partial = [x * scale for x in w], 0.0
+        for x in probs:
+            partial += x
+        dists.append(CountDistribution(probs=probs + [max(0.0, 1.0 - partial)], M=M))
+    return DecisionProblem(*dists)
+
+
+def _sparse_problem():
+    """Accept set {2, 3, 9}, which a frozenset iterates as 9, 2, 3: p_fa reads
+    (0.4 + 0.1) + 0.2 = 0.7, one ulp below the ascending 0.7000000000000001."""
+    p0 = [0.04] * 10 + [0.0]
+    p1 = [0.0] * 11
+    for n, p in ((2, 0.1), (3, 0.2), (9, 0.4)):
+        p0[n] = p1[n] = p
+    p1[9] = 0.69
+    p0[10], p1[10] = 1.0 - sum(p0), 1.0 - sum(p1)
+    return DecisionProblem(*(CountDistribution(probs=p, M=10) for p in (p0, p1)))
+
+
+@given(_count_problems())
+@example(_sparse_problem())
+@settings(max_examples=100, deadline=None)
+def test_map_set_decision_equals_its_old_loops(problem):
+    accept, p_fa, p_mi = _old_map_set(problem.dist0.probs, problem.dist1.probs, problem.M)
+    rule = map_set_decision(problem)
+    assert struct.pack("2d", rule.p_fa, rule.p_mi) == struct.pack("2d", p_fa, p_mi)
+    assert frozenset(rule.accept_set) == accept
+    if accept and len(accept) == problem.M + 1 - min(accept):
+        assert rule.accept_set == range(min(accept), problem.M + 1)
+    else:
+        assert rule.accept_set == accept and type(rule.accept_set) is frozenset
 
 
 class TestSpdMismatch:
