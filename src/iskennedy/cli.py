@@ -68,6 +68,10 @@ EXIT_VALIDATION = 4
 _RARE_ERRORS = 100
 _TWO_SIDED_LEVEL = 6.334e-5
 
+# A value that reads like -1 or -.5, after a flag with no "=value": see main.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+_BARE_FLAG = re.compile(r"--[^=]+")
+
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
@@ -566,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     # `--dtheta -1e-3` as `--dtheta=-1e-3`: argparse takes a word that starts
     # with '-' for a flag unless it reads like -1 or -.5.
     for i in reversed(range(1, len(argv))):
-        if re.match(r"-\.?\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+        if _NEGATIVE_NUMBER.match(argv[i]) and _BARE_FLAG.fullmatch(argv[i - 1]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = build_parser().parse_args(argv)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import NumericalConsistencyError, nonnegative
-from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, log_factorials,
-                              poisson_cdf_below, poisson_law, poisson_tail_ge, resolution)
+from .fock_statistics import (_LAW_CAP, CountDistribution, KeptLaw, clamp_to_resolution,
+                              log_factorials, poisson_cdf_below, poisson_law, poisson_tail_ge,
+                              resolution)
 from .gaussian_states import SignalDesign, binary_symbol
 from .receiver_ideal import DecisionRule, _map_threshold, threshold_accept_set, transform_means
 
@@ -87,6 +89,60 @@ def exact_saturation_floor(M: int, nu: float) -> float:
     return 0.5 * poisson_tail_ge(resolution(M), nu)
 
 
+class _Thinning:
+    """Binomial thinning matrix of one (eta, M), read-only, as wide as the largest K read: a
+    wider read builds the matrix anew at its K under the lock and replaces the old one."""
+
+    __slots__ = ("eta", "M", "matrix", "_lock")
+
+    def __init__(self, eta: float, M: int):
+        self.eta, self.M, self._lock = eta, M, threading.Lock()
+        self.matrix = _thinning_matrix(eta, M, 0)
+
+    def columns(self, K: int):
+        """B[:, :K] as a new C-contiguous array, so the product keeps a fresh build's bits."""
+        import numpy as np
+        matrix = self.matrix
+        if matrix.shape[1] < K:
+            with self._lock:
+                if self.matrix.shape[1] < K:
+                    self.matrix = _thinning_matrix(self.eta, self.M, K)
+                matrix = self.matrix
+        return np.ascontiguousarray(matrix[:, :K])
+
+
+def _thinning_matrix(eta: float, M: int, K: int):
+    """B[j, k] = Binom(j; k, eta) for j < M, k < K (the identity at eta = 1), read-only."""
+    import numpy as np
+    if eta == 1.0:
+        thinning = np.eye(M, K)
+    else:
+        j, k = np.arange(M)[:, None], np.arange(K)
+        lost = np.maximum(k - j, 0)
+        size = max(M, K)
+        log_fact = np.array(log_factorials(size)[:size])
+        log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
+                 + j * math.log(eta) + lost * math.log1p(-eta))
+        thinning = np.where(k >= j, np.exp(log_b), 0.0)
+    thinning.flags.writeable = False
+    return thinning
+
+
+@functools.lru_cache(maxsize=_LAW_CAP)
+def _thinning(eta: float, M: int) -> _Thinning:
+    """The kept thinning matrix of one (eta, M); the last _LAW_CAP detectors are kept."""
+    return _Thinning(eta, M)
+
+
+@functools.lru_cache(maxsize=_LAW_CAP, typed=True)
+def _dark_head(nu: float, M: int):
+    """Dark counts P(0..M-1; nu) as one read-only array, kept per typed (nu, M)."""
+    import numpy as np
+    head = np.array(poisson_law(nu).head(M))
+    head.flags.writeable = False
+    return head
+
+
 def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     """Push an arbitrary incident-photon pmf through the (eta, nu) detector.
 
@@ -96,8 +152,11 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     are gathered until 1 - 1e-12 of the mass is covered, or up to 4M + 400, and
     none past that is read (a KeptLaw's kept values in one slice, then pmf(k));
     the rest is lumped into bin M, exact only at eta = 1 (else NumericalConsistencyError).
-    Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M (the
-    identity at eta = 1); the darks are convolved in, truncated at M.
+    Loss is one thinning matrix B[j, k] = Binom(j; k, eta), j < M, k < K for the K
+    terms read (the identity at eta = 1); the darks P(0..M-1; nu) are convolved in,
+    truncated at M.  Both are kept per process, bit-equal to a fresh build: B per
+    (eta, M), as wide as the largest K read (at most 4M + 401 columns), and the dark
+    head per (nu, M), the last _LAW_CAP keys of each.
     """
     import numpy as np  # the one array kernel here; the scalar receivers need no numpy
     limit = 4 * det.M + 401
@@ -111,18 +170,8 @@ def apply_detector_to_pmf(pmf, det: DetectorModel) -> CountDistribution:
     M, K = det.M, len(incident)
     if det.eta < 1.0 and 1.0 - covered >= 1e-12:
         raise NumericalConsistencyError(f"incident mass {1.0 - covered:.3g} lies past {K} terms")
-    if det.eta == 1.0:
-        thinning = np.eye(M, K)
-    else:
-        j, k = np.arange(M)[:, None], np.arange(K)
-        lost = np.maximum(k - j, 0)
-        size = max(M, K)
-        log_fact = np.array(log_factorials(size)[:size])
-        log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
-                 + j * math.log(det.eta) + lost * math.log1p(-det.eta))
-        thinning = np.where(k >= j, np.exp(log_b), 0.0)
-    dark = np.array(poisson_law(det.nu).head(M))
-    detected = np.convolve(thinning @ np.array(incident), dark)[:M]
+    thinning = _thinning(det.eta, M).columns(K)
+    detected = np.convolve(thinning @ np.array(incident), _dark_head(det.nu, M))[:M]
     probs = detected.tolist()
     probs.append(max(0.0, 1.0 - detected.sum()))
     return CountDistribution(probs=probs, M=M)

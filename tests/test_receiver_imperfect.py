@@ -1,5 +1,9 @@
 import math
+import random
 import struct
+import sys
+import threading
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -381,3 +385,170 @@ class TestDetectorComposition:
         # At eta = 1 the lumped bin is exact: the truncated law itself.
         lossless = apply_detector_to_pmf(law, DetectorModel(eta=1.0, nu=0.0, M=1))
         assert lossless.probs == mismatch_count_pmf(design, res, 1, 1).probs
+
+
+def _fresh_composition(pmf, det):
+    """apply_detector_to_pmf as it stood before its kernel was kept: the thinning matrix and
+    the dark head built anew on every call."""
+    limit = 4 * det.M + 401
+    kept = pmf.kept(limit) if isinstance(pmf, fock_statistics.KeptLaw) else []
+    incident, covered = [], 0.0
+    for p in chain(kept, map(pmf, range(len(kept), limit))):
+        incident.append(p)
+        covered += p
+        if 1.0 - covered < 1e-12:
+            break
+    M, K = det.M, len(incident)
+    if det.eta == 1.0:
+        thinning = np.eye(M, K)
+    else:
+        j, k = np.arange(M)[:, None], np.arange(K)
+        lost = np.maximum(k - j, 0)
+        size = max(M, K)
+        log_fact = np.array(fock_statistics.log_factorials(size)[:size])
+        log_b = (log_fact[k] - log_fact[j] - log_fact[lost]
+                 + j * math.log(det.eta) + lost * math.log1p(-det.eta))
+        thinning = np.where(k >= j, np.exp(log_b), 0.0)
+    dark = np.array(fock_statistics.poisson_law(det.nu).head(M))
+    detected = np.convolve(thinning @ np.array(incident), dark)[:M]
+    probs = detected.tolist()
+    probs.append(max(0.0, 1.0 - detected.sum()))
+    return probs, K
+
+
+def _clear_detector_kernels():
+    receiver_imperfect._thinning.cache_clear()
+    receiver_imperfect._dark_head.cache_clear()
+
+
+# Incident laws of (|A|^2, r, kept): a fresh KeptLaw of S(r) D(A)|0>, or a plain callable
+# reading one, covered within the 4M + 401 terms read at every M >= 1.
+_INCIDENT_LAWS = st.lists(st.tuples(st.floats(0.0, 25.0), st.floats(0.0, 1.0), st.booleans()),
+                          min_size=2, max_size=5)
+
+
+def _incident(abs2, r, kept):
+    law = fock_statistics._law.__wrapped__(complex(math.sqrt(abs2), 0.3), r, 0.7)
+    return law if kept else (lambda k: law(k))
+
+
+class TestKeptDetectorKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.one_of(st.just(1.0), st.floats(1e-3, 1.0, exclude_min=True)),
+           nu=st.one_of(st.just(0.0), st.floats(0.0, 0.2)), M=st.integers(1, 40),
+           laws=_INCIDENT_LAWS)
+    @example(eta=0.9, nu=1e-3, M=10, laws=[(0.5, 0.3, False), (9.0, 0.6, True), (0.0, 0.0, True)])
+    def test_kept_kernels_give_the_bits_of_a_fresh_build(self, eta, nu, M, laws):
+        # K ascending, K descending, then more (eta, M) keys than the cap, so that the kept
+        # matrix grows, is sliced narrower than it is, and is evicted and built again.
+        det = DetectorModel(eta=eta, nu=nu, M=M)
+        cases = []
+        for spec in laws:
+            want, K = _fresh_composition(_incident(*spec), det)
+            cases.append((K, spec, want))
+        cases.sort(key=lambda case: case[0])
+        for order in (cases, cases[::-1]):
+            _clear_detector_kernels()
+            for _, spec, want in order:
+                assert _bits(apply_detector_to_pmf(_incident(*spec), det).probs) == _bits(want)
+        _clear_detector_kernels()
+        etas = [eta * (1.0 - i / 16.0) for i in range(receiver_imperfect._LAW_CAP + 3)]
+        dets = [DetectorModel(eta=e, nu=nu, M=M) for e in etas]
+        wants = {(i, c): _fresh_composition(_incident(*spec), d)[0]
+                 for i, d in enumerate(dets) for c, (_, spec, _) in enumerate(cases)}
+        for _ in range(2):
+            for c, (_, spec, _) in enumerate(cases):
+                for i, d in enumerate(dets):
+                    got = apply_detector_to_pmf(_incident(*spec), d).probs
+                    assert _bits(got) == _bits(wants[i, c])
+
+    def test_a_kept_matrix_is_as_wide_as_the_largest_read_and_read_only(self):
+        _clear_detector_kernels()
+        det = DetectorModel(eta=0.9, nu=1e-3, M=10)
+        widest = 0
+        for abs2 in (4.0, 0.1, 16.0, 1.0, 30.0):
+            pmf = fock_statistics.poisson_law(abs2)
+            widest = max(widest, _fresh_composition(pmf, det)[1])
+            apply_detector_to_pmf(pmf, det)
+            matrix = receiver_imperfect._thinning(0.9, 10).matrix
+            assert matrix.shape == (10, widest)
+            assert not matrix.flags.writeable
+        dark = receiver_imperfect._dark_head(1e-3, 10)
+        assert dark.shape == (10,) and not dark.flags.writeable
+        for kernel in (matrix, dark):
+            with pytest.raises(ValueError, match="read-only"):
+                kernel[0] = 1.0
+        # The detectors of the mismatch_deep benchmark hold under 20 kB between them.
+        apply_detector_to_pmf(fock_statistics.poisson_law(30.0), DetectorModel(0.9, 1e-3, 3))
+        held = sum(receiver_imperfect._thinning(0.9, M).matrix.nbytes
+                   + receiver_imperfect._dark_head(1e-3, M).nbytes for M in (3, 10))
+        assert held < 20_000
+        _clear_detector_kernels()
+
+    def test_at_most_the_cap_of_keys_is_held(self):
+        _clear_detector_kernels()
+        pmf = fock_statistics.poisson_law(2.0)
+        for i in range(3 * receiver_imperfect._LAW_CAP):
+            apply_detector_to_pmf(pmf, DetectorModel(eta=0.5 + i / 100.0, nu=i / 100.0, M=3))
+        for kept in (receiver_imperfect._thinning, receiver_imperfect._dark_head):
+            assert kept.cache_info().currsize == receiver_imperfect._LAW_CAP
+        _clear_detector_kernels()
+
+    def test_a_law_covered_early_keeps_a_narrow_matrix_at_large_resolution(self, monkeypatch):
+        # Kept at its full 4M + 401 columns, this matrix would hold 20,000 x 80,401 doubles
+        # (12.9 GB); kept at the K read, about 1.6 MB.  A build past 10^6 elements fails
+        # here before it allocates.
+        build = receiver_imperfect._thinning_matrix
+
+        def bounded(eta, M, K):
+            assert M * K <= 10**6, f"a {M} x {K} thinning matrix"
+            return build(eta, M, K)
+
+        monkeypatch.setattr(receiver_imperfect, "_thinning_matrix", bounded)
+        _clear_detector_kernels()
+        det = DetectorModel(eta=0.9, nu=0.0, M=20_000)
+        pmf = fock_statistics.poisson_law(0.5)
+        got = apply_detector_to_pmf(pmf, det).probs
+        want, K = _fresh_composition(pmf, det)
+        assert _bits(got) == _bits(want)
+        assert 5 <= K <= 20
+        assert receiver_imperfect._thinning(0.9, 20_000).matrix.shape == (20_000, K)
+        _clear_detector_kernels()
+
+    def test_eight_threads_composing_at_once_give_the_serial_bits(self):
+        det = DetectorModel(eta=0.8, nu=2e-3, M=12)
+        # Means in ascending order, so each law reads more terms than the last: threads that
+        # take them in order widen the matrix while the others read it.
+        values = [fock_statistics.poisson_law(mu / 2.0).head(4 * 12 + 401) for mu in range(1, 41)]
+        serial = [_bits(_fresh_composition(lambda k, v=v: v[k], det)[0]) for v in values]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(12):
+                _clear_detector_kernels()
+                start = threading.Barrier(8, timeout=60)
+                errors = []
+
+                def compose(seed):
+                    order = list(range(len(values)))
+                    if seed % 2:
+                        random.Random(seed).shuffle(order)
+                    start.wait()
+                    try:
+                        for i in order:
+                            got = apply_detector_to_pmf(lambda k: values[i][k], det).probs
+                            assert _bits(got) == serial[i]
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=compose, args=(100 * rnd + k,))
+                           for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+        finally:
+            sys.setswitchinterval(switch)
+            _clear_detector_kernels()
