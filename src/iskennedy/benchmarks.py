@@ -73,8 +73,15 @@ def ratio_db(a: float, b: float) -> float:
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-6) -> float:
-    """Plain bisection; robust at desk scale and immune to flat spots."""
-    flo, fhi = f(lo), f(hi)
+    """Plain bisection; robust at desk scale and immune to flat spots.  A NaN from f,
+    at either end or at a midpoint, raises ValueError naming x."""
+    def at(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f is NaN at x = {x!r}")
+        return fx
+
+    flo, fhi = at(lo), at(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -83,7 +90,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float =
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = at(mid)
         if fm == 0.0:
             return mid
         if flo * fm < 0:

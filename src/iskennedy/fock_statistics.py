@@ -215,7 +215,8 @@ def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
 
 class KeptLaw:
     """n -> the n-th of `values`, each computed once, kept, and extended under the law's own
-    lock; head(M) reads P(0..M-1) at once.  Once `values` raises, a read past it re-raises."""
+    lock; head(M) reads P(0..M-1) at once.  Once `values` raises, a read past it re-raises;
+    once it ends, a read past it raises IndexError."""
 
     __slots__ = ("_probs", "_values", "_lock", "_failure")
 
@@ -242,6 +243,9 @@ class KeptLaw:
                 except Exception as exc:
                     self._failure = exc, exc.__traceback__  # so re-raises do not grow it
             if size > len(self._probs):
+                if self._failure is None:
+                    raise IndexError(f"the law holds {len(self._probs)} values, "
+                                     f"read up to n = {size - 1}")
                 raise self._failure[0].with_traceback(self._failure[1])
             return self._probs
 

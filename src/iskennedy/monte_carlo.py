@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fock_statistics import resolution
 from .gaussian_states import SignalDesign
@@ -73,20 +73,38 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Estimate, its uncertainty, and agreement with the closed form; unlike the
-    other records it is not slotted, so vars() spreads it into a table row."""
+    """Estimate, its uncertainty, and agreement with the closed form, built from the
+    counts: trials = sent0 + sent1 (at least 1), generator, p_err_estimate, std_error and
+    z_score are derived, so `dataclasses.replace` recomputes them and raises ValueError if
+    asked to set one.  Unlike the other records it is not slotted, so vars() spreads all
+    eleven fields into a `validate` row."""
 
-    trials: int
+    trials: int = field(init=False)
     seed: int
-    generator: str
-    p_err_estimate: float
-    std_error: float
+    generator: str = field(init=False)
+    p_err_estimate: float = field(init=False)
+    std_error: float = field(init=False)
     fa_count: int
     mi_count: int
     sent0: int
     sent1: int
     p_err_reference: float
-    z_score: float
+    z_score: float = field(init=False)
+
+    def __post_init__(self):
+        trials = self.sent0 + self.sent1
+        if trials < 1:
+            raise ValueError(f"a report needs sent0 + sent1 >= 1 trials, got {trials!r}")
+        estimate = (self.fa_count + self.mi_count) / trials
+        std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+        # z against the reference p avoids a zero sigma when no errors occur.
+        reference = self.p_err_reference
+        sigma_ref = math.sqrt(reference * (1.0 - reference) / trials)
+        z = (estimate - reference) / sigma_ref if sigma_ref > 0 else 0.0
+        for name, value in (("trials", trials), ("generator", _GENERATOR),
+                            ("p_err_estimate", estimate), ("std_error", std_error),
+                            ("z_score", z)):
+            object.__setattr__(self, name, value)
 
 
 def scenario_problem(design: SignalDesign, scenario: Scenario) -> tuple[DecisionProblem, DecisionRule]:
@@ -198,7 +216,8 @@ def simulate_physical_imperfect(design: SignalDesign, det: DetectorModel,
 
 def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
     """Send uniform random symbols shard by shard, decide each trial with
-    decide(rng, sent) (True: symbol 1), and compare to rule.p_err.
+    decide(rng, sent) (True: symbol 1), and count: the report built from the
+    counts and rule.p_err derives the estimate and its comparison.
 
     A shard's symbols are drawn chunk by chunk into the bool array sent (True:
     symbol 1) before decide draws anything, so every symbol precedes the
@@ -215,15 +234,5 @@ def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
         decided1 += int(np.count_nonzero(decide1))
         hits += int(np.count_nonzero(decide1 & sent))
         del sent, decide1  # freed before the next shard allocates its own
-    trials = config.trials
-    fa, mi, sent0 = decided1 - hits, sent1 - hits, trials - sent1
-    estimate = (fa + mi) / trials
-    std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
-    # z against the reference p avoids a zero sigma when no errors occur.
-    reference = rule.p_err
-    sigma_ref = math.sqrt(reference * (1.0 - reference) / trials)
-    z = (estimate - reference) / sigma_ref if sigma_ref > 0 else 0.0
-    return TrialReport(trials=trials, seed=config.seed, generator=_GENERATOR,
-                       p_err_estimate=estimate, std_error=std_error, fa_count=fa,
-                       mi_count=mi, sent0=sent0, sent1=sent1,
-                       p_err_reference=reference, z_score=z)
+    return TrialReport(seed=config.seed, fa_count=decided1 - hits, mi_count=sent1 - hits,
+                       sent0=config.trials - sent1, sent1=sent1, p_err_reference=rule.p_err)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from iskennedy import (
     BracketError,
     DetectorModel,
     MismatchModel,
+    crossings_vs_benchmarks,
     crossover_sql_dss_vs_hb_cs,
     design_at_optimal_beta,
     hb_dss_opt,
@@ -153,6 +155,23 @@ def test_bisect_requires_sign_change():
 def test_bisect_tolerance():
     root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-9)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("f, where", [
+    (lambda x: math.nan, "0.0"),
+    (lambda x: math.nan if x == 1.0 else x - 0.25, "1.0"),
+    (lambda x: -1.0 if x < 0.5 else math.nan if x < 0.6 else 1.0, "0.5"),
+], ids=["everywhere", "at-hi", "at-a-midpoint"])
+def test_bisect_names_where_f_is_nan(f, where):
+    with pytest.raises(ValueError, match=rf"f is NaN at x = {re.escape(where)}$"):
+        bisect_root(f, 0.0, 1.0)
+
+
+def test_bisect_roots_of_the_package_keep_their_bits():
+    assert repr(crossover_sql_dss_vs_hb_cs()) == "0.6594134092330933"
+    assert repr(crossings_vs_benchmarks()) == (
+        "BenchmarkCrossings(vs_sql_cs=0.21275713443756106, vs_sql_dss=0.2963030576705932, "
+        "vs_hb_cs=0.3994446516036987)")
 
 
 @given(N=st.floats(0.0, 3.0), beta=st.none() | st.floats(0.0, 1.0),

@@ -389,6 +389,14 @@ class TestKeptLaws:
             assert raised.value is failure
         assert (law.head(2), law.head(1)) == ([0.5, 0.25], [0.5])
 
+    def test_a_law_over_a_finite_iterator_names_its_length_past_the_end(self):
+        law = fock_statistics.KeptLaw(iter([0.5, 0.5]))
+        for read in (lambda: law(3), lambda: law.head(5), lambda: clamp_to_resolution(law, 4)):
+            with pytest.raises(IndexError, match="the law holds 2 values"):
+                read()
+        assert (law(0), law(1), law.head(2)) == (0.5, 0.5, [0.5, 0.5])
+        assert list(clamp_to_resolution(law, 1).probs) == [0.5, 0.5]
+
     def test_reading_a_failed_law_again_does_not_grow_its_traceback(self):
         fock_statistics._law.cache_clear()
         law = photon_pmf(1e200, 0.5)  # |A|^2 overflows before the first value

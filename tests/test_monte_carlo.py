@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from iskennedy import (
     MismatchModel,
     MismatchScenario,
     TrialConfig,
+    TrialReport,
     design_at_optimal_beta,
     p_err_ideal,
     p_err_imperfect,
@@ -47,6 +49,66 @@ def test_report_bookkeeping():
     assert rep.generator == "PCG64"
     assert math.isfinite(rep.z_score)
     assert rep.p_err_reference == pytest.approx(p_err_ideal(0.5), rel=1e-12)
+
+
+_DERIVED = ("trials", "generator", "p_err_estimate", "std_error", "z_score")
+
+
+def _tally_formulas(fa_count, mi_count, sent0, sent1, p_err_reference, **_):
+    """The derived fields written out as `_tally` computed them before a report derived them."""
+    trials = sent0 + sent1
+    estimate = (fa_count + mi_count) / trials
+    std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+    sigma_ref = math.sqrt(p_err_reference * (1.0 - p_err_reference) / trials)
+    z = (estimate - p_err_reference) / sigma_ref if sigma_ref > 0 else 0.0
+    return {"trials": trials, "generator": "PCG64", "p_err_estimate": estimate,
+            "std_error": std_error, "z_score": z}
+
+
+@st.composite
+def _report_inputs(draw):
+    sent0 = draw(st.integers(0, 10**7))
+    sent1 = draw(st.integers(0 if sent0 else 1, 10**7))
+    return {"seed": draw(st.integers(0, 2**63)), "fa_count": draw(st.integers(0, sent0)),
+            "mi_count": draw(st.integers(0, sent1)), "sent0": sent0, "sent1": sent1,
+            "p_err_reference": draw(st.sampled_from([0.0, 5e-324, 0.5, 1.0]) |
+                                    st.floats(0.0, 1.0))}
+
+
+class TestReportFromItsCounts:
+    def test_the_init_fields_are_the_six_inputs(self):
+        assert [f.name for f in dataclasses.fields(TrialReport) if f.init] == [
+            "seed", "fa_count", "mi_count", "sent0", "sent1", "p_err_reference"]
+        with pytest.raises(TypeError):
+            TrialReport(trials=10, seed=0, generator="MT19937", p_err_estimate=0.9,
+                        std_error=0.0, fa_count=0, mi_count=0, sent0=3, sent1=3,
+                        p_err_reference=0.1, z_score=-5.0)
+
+    @given(_report_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_fields_are_the_tally_formulas_bit_for_bit(self, inputs):
+        report = TrialReport(**inputs)
+        assert repr({name: getattr(report, name) for name in _DERIVED}) == \
+            repr(_tally_formulas(**inputs))
+        assert vars(report) == {**inputs, **_tally_formulas(**inputs)}
+
+    def test_replace_recomputes_the_derived_fields_and_refuses_to_set_one(self):
+        report = simulate(design_at_optimal_beta(1.0), TrialConfig(
+            trials=20_000, seed=3, scenario=ImperfectScenario(DetectorModel(0.5, 1e-3, 1))))
+        moved = dataclasses.replace(report, fa_count=report.fa_count + 500)
+        inputs = {name: getattr(moved, name) for name in vars(moved) if name not in _DERIVED}
+        assert vars(moved) == {**inputs, **_tally_formulas(**inputs)}
+        assert moved.p_err_estimate == (report.fa_count + 500 + report.mi_count) / report.trials
+        assert moved.z_score > report.z_score + 10
+        for name in _DERIVED:
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(report, **{name: getattr(report, name)})
+
+    @pytest.mark.parametrize("sent0, sent1", [(0, 0), (-1, 0), (2, -3)])
+    def test_a_report_of_no_trials_raises(self, sent0, sent1):
+        with pytest.raises(ValueError, match=r"sent0 \+ sent1 >= 1"):
+            TrialReport(seed=0, fa_count=0, mi_count=0, sent0=sent0, sent1=sent1,
+                        p_err_reference=0.1)
 
 
 def test_ideal_concordance_million_trials():

@@ -234,8 +234,11 @@ class TestSlottedRecords:
             dataclasses.replace(rule, p_fa=0.5)
 
     def test_vars_spreads_a_trial_report(self):
-        values = {field.name: i for i, field in enumerate(dataclasses.fields(TrialReport))}
-        assert vars(TrialReport(**values)) == values
+        report = TrialReport(seed=7, fa_count=3, mi_count=5, sent0=40, sent1=60,
+                             p_err_reference=0.1)
+        names = [field.name for field in dataclasses.fields(TrialReport)]
+        assert len(names) == 11
+        assert vars(report) == {name: getattr(report, name) for name in names}
 
     def test_rules_of_one_threshold_hold_one_range(self):
         design, M = design_at_optimal_beta(1.0), 4
