@@ -76,7 +76,8 @@ class TrialReport:
     """Estimate, its uncertainty, and agreement with the closed form, built from the
     counts: trials = sent0 + sent1 (at least 1), generator, p_err_estimate, std_error and
     z_score are derived, so `dataclasses.replace` recomputes them and raises ValueError if
-    asked to set one.  Unlike the other records it is not slotted, so vars() spreads all
+    asked to set one.  The counts must agree: ValueError names a negative count, or
+    fa_count above sent0, or mi_count above sent1.  Unlike the other records it is not slotted, so vars() spreads all
     eleven fields into a `validate` row."""
 
     trials: int = field(init=False)
@@ -95,6 +96,13 @@ class TrialReport:
         trials = self.sent0 + self.sent1
         if trials < 1:
             raise ValueError(f"a report needs sent0 + sent1 >= 1 trials, got {trials!r}")
+        for name in ("fa_count", "mi_count", "sent0", "sent1"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for errors, sent in (("fa_count", "sent0"), ("mi_count", "sent1")):
+            if getattr(self, errors) > getattr(self, sent):
+                raise ValueError(f"{errors} = {getattr(self, errors)!r} exceeds "
+                                 f"{sent} = {getattr(self, sent)!r}, the trials it counts among")
         estimate = (self.fa_count + self.mi_count) / trials
         std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
         # z against the reference p avoids a zero sigma when no errors occur.
@@ -171,6 +179,12 @@ def _flip_decider(accept, cdf0, cdf1):
     the count exceeds j < M exactly when cdf_s[j] <= u.  The decision is
     therefore accept[0], flipped once for each flip point j
     (accept[j] != accept[j + 1]) whose edge cdf_s[j] u has reached.
+
+    A trial's edge is selected without a float array: u is compared with both
+    edges into two reused bool arrays, and the symbol-0 answer is replaced by
+    the symbol-1 answer where sent is true and the two differ.  Each decision
+    is the same IEEE `u >= edge` as comparing u with the selected edge.
+    sent and u are only read.
     """
     import numpy as np
     flips = np.flatnonzero(accept[:-1] != accept[1:])
@@ -178,8 +192,14 @@ def _flip_decider(accept, cdf0, cdf1):
 
     def decide(sent, u):
         decide1 = np.full(u.size, accept[0])
+        reached, reached1 = np.empty(u.size, dtype=bool), np.empty(u.size, dtype=bool)
         for edge0, edge1 in edges:
-            decide1 ^= u >= np.where(sent, edge1, edge0)
+            np.greater_equal(u, edge0, out=reached)
+            np.greater_equal(u, edge1, out=reached1)
+            reached1 ^= reached  # where the two edges disagree
+            reached1 &= sent     # on a symbol-1 trial,
+            reached ^= reached1  # take the symbol-1 edge's answer
+            decide1 ^= reached
         return decide1
     return decide
 

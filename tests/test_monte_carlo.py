@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iskennedy import (
@@ -109,6 +109,21 @@ class TestReportFromItsCounts:
         with pytest.raises(ValueError, match=r"sent0 \+ sent1 >= 1"):
             TrialReport(seed=0, fa_count=0, mi_count=0, sent0=sent0, sent1=sent1,
                         p_err_reference=0.1)
+
+    @pytest.mark.parametrize("fa_count, mi_count, sent0, sent1, name", [
+        (500, 0, 3, 3, "fa_count"), (4, 0, 3, 3, "fa_count"), (0, 4, 3, 3, "mi_count"),
+        (-1, 0, 3, 3, "fa_count"), (0, -1, 3, 3, "mi_count"), (0, 0, -1, 5, "sent0"),
+        (0, 0, 5, -1, "sent1")])
+    def test_counts_that_contradict_each_other_raise(self, fa_count, mi_count, sent0, sent1,
+                                                     name):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            TrialReport(seed=0, fa_count=fa_count, mi_count=mi_count, sent0=sent0,
+                        sent1=sent1, p_err_reference=0.1)
+
+    def test_every_trial_in_error_builds(self):
+        report = TrialReport(seed=0, fa_count=3, mi_count=4, sent0=3, sent1=4,
+                             p_err_reference=0.1)
+        assert (report.trials, report.p_err_estimate, report.std_error) == (7, 1.0, 0.0)
 
 
 def test_ideal_concordance_million_trials():
@@ -292,8 +307,27 @@ def _kernel_case(draw):
     return accept, cdf0, cdf1, sent, u
 
 
+def _case(accept, cdf0, cdf1, sent, u):
+    return (np.array(accept), np.array(cdf0), np.array(cdf1), np.array(sent, dtype=bool),
+            np.array(u))
+
+
+_U = [0.0, 0.2, 0.3, 0.5, 0.6, 0.7, 0.9]
+
+
 @given(_kernel_case())
 @settings(max_examples=300, deadline=None)
+# No flip: every outcome accepted, then every outcome rejected.
+@example(_case([True] * 3, [0.5, 0.8, 1.0], [0.1, 0.4, 1.0], [0, 1] * 7, _U * 2))
+@example(_case([False] * 3, [0.5, 0.8, 1.0], [0.1, 0.4, 1.0], [0, 1] * 7, _U * 2))
+# A flip whose symbol-1 edge (0.2) lies below its symbol-0 edge (0.7).
+@example(_case([False, True], [0.7, 1.0], [0.2, 1.0], [0] * 7 + [1] * 7, _U * 2))
+# Equal edges, on two flips.
+@example(_case([False, True, False], [0.3, 0.6, 1.0], [0.3, 0.6, 1.0], [1, 0] * 7, _U * 2))
+# u exactly on each edge, sent true and false at the same u; the symbol-1 edge
+# lies below the symbol-0 edge at the first flip and above it at the second.
+@example(_case([True, False, True], [0.3, 0.5, 1.0], [0.2, 0.9, 1.0], [1, 0] * 4,
+               [0.3, 0.3, 0.5, 0.5, 0.2, 0.2, 0.9, 0.9]))
 def test_flip_decisions_equal_the_inverse_cdf_count(case):
     accept, cdf0, cdf1, sent, u = case
     M = accept.size - 1
@@ -303,6 +337,18 @@ def test_flip_decisions_equal_the_inverse_cdf_count(case):
     got = _flip_decider(accept, cdf0, cdf1)(sent, u)
     assert got.dtype == bool
     assert (got == expected).all()
+
+
+def test_flip_decider_leaves_sent_and_u_unchanged():
+    accept, cdf0, cdf1 = np.array([False, True, False]), np.array([0.3, 0.6, 1.0]), \
+        np.array([0.1, 0.8, 1.0])
+    rng = np.random.default_rng(4)
+    sent, u = rng.integers(0, 2, size=1000).astype(bool), rng.random(1000)
+    sent_before, u_before = sent.copy(), u.copy()
+    _flip_decider(accept, cdf0, cdf1)(sent, u)
+    assert (sent == sent_before).all() and (u == u_before).all()
+    sent.flags.writeable = u.flags.writeable = False
+    _flip_decider(accept, cdf0, cdf1)(sent, u)  # raises if it writes to either
 
 
 # Trial budgets on every chunk and shard edge: the pinned cases cross a shard
