@@ -77,8 +77,8 @@ class TrialReport:
     counts: trials = sent0 + sent1 (at least 1), generator, p_err_estimate, std_error and
     z_score are derived, so `dataclasses.replace` recomputes them and raises ValueError if
     asked to set one.  The counts must agree: ValueError names a negative count, or
-    fa_count above sent0, or mi_count above sent1.  Unlike the other records it is not slotted, so vars() spreads all
-    eleven fields into a `validate` row."""
+    fa_count above sent0, or mi_count above sent1.  Unlike the other records it is not
+    slotted, so vars() spreads all eleven fields into a `validate` row."""
 
     trials: int = field(init=False)
     seed: int
@@ -104,7 +104,7 @@ class TrialReport:
                 raise ValueError(f"{errors} = {getattr(self, errors)!r} exceeds "
                                  f"{sent} = {getattr(self, sent)!r}, the trials it counts among")
         estimate = (self.fa_count + self.mi_count) / trials
-        std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+        std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
         # z against the reference p avoids a zero sigma when no errors occur.
         reference = self.p_err_reference
         sigma_ref = math.sqrt(reference * (1.0 - reference) / trials)

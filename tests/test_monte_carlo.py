@@ -340,15 +340,11 @@ def test_flip_decisions_equal_the_inverse_cdf_count(case):
 
 
 def test_flip_decider_leaves_sent_and_u_unchanged():
-    accept, cdf0, cdf1 = np.array([False, True, False]), np.array([0.3, 0.6, 1.0]), \
-        np.array([0.1, 0.8, 1.0])
     rng = np.random.default_rng(4)
     sent, u = rng.integers(0, 2, size=1000).astype(bool), rng.random(1000)
-    sent_before, u_before = sent.copy(), u.copy()
-    _flip_decider(accept, cdf0, cdf1)(sent, u)
-    assert (sent == sent_before).all() and (u == u_before).all()
-    sent.flags.writeable = u.flags.writeable = False
-    _flip_decider(accept, cdf0, cdf1)(sent, u)  # raises if it writes to either
+    sent.flags.writeable = u.flags.writeable = False  # a write into either raises
+    _flip_decider(np.array([False, True, False]), np.array([0.3, 0.6, 1.0]),
+                  np.array([0.1, 0.8, 1.0]))(sent, u)
 
 
 # Trial budgets on every chunk and shard edge: the pinned cases cross a shard
