@@ -17,11 +17,7 @@ from .benchmarks import (
     sql_dss,
     sql_dss_opt,
 )
-from .errors import (
-    BracketError,
-    DegenerateSqueezingError,
-    NumericalConsistencyError,
-)
+from .errors import BracketError, NumericalConsistencyError
 from .fock_statistics import (
     CountDistribution,
     clamp_to_resolution,
@@ -30,7 +26,6 @@ from .fock_statistics import (
     sv_pmf,
 )
 from .gaussian_states import (
-    PhaseSpacePoint,
     SignalDesign,
     design_at_optimal_beta,
     homodyne_pdf,

@@ -22,13 +22,14 @@ each distinct float formatted once a table.
 Exit codes: 0 ok, 1 reader closed the pipe, 2 usage error, 3 numerical-
 consistency failure or float overflow, 4 validation failure.  Usage errors
 write nothing: an option the subcommand does not take, a sweep variable it
-cannot vary, a non-finite number or Wigner grid span, --M < 1, --nmax < 0,
---points or --trials < 1, an unreadable --config and an --out path that
-cannot be opened are rejected before output, and so is a value a model
-rejects at any point of a sweep (--eta 2, --sweep eta:0.5:2:4).  A
-negative value may follow its option as a separate word in any float form
-(--dtheta -1e-3).  A dB cell is empty at N = 0 and where one of its
-probabilities underflows to 0.
+cannot vary, a --metrics list naming an unknown metric, one twice or none
+(--metrics p_err,p_err; --metrics ,), a non-finite number or Wigner grid
+span, --M < 1, --nmax < 0, --points or --trials < 1, an unreadable --config
+and an --out path that cannot be opened are rejected before output, and so
+is a value a model rejects at any point of a sweep (--eta 2, --sweep
+eta:0.5:2:4).  A negative value may follow its option as a separate word in
+any float form (--dtheta -1e-3).  A dB cell is empty at N = 0 and where one
+of its probabilities underflows to 0.
 
 A config file (--config) may hold `key = value` lines mirroring the long
 option names, e.g. `sweep = N:0.1:3.0:30`; explicit flags override it.
@@ -287,7 +288,8 @@ COMMANDS = {
 # --- the one table path ------------------------------------------------------
 
 def select_columns(metrics: str | None, spec: Command) -> list[str]:
-    """Inputs are always echoed; --metrics restricts which metrics follow."""
+    """Inputs are always echoed; --metrics restricts which metrics follow, each named
+    once, at least one."""
     if metrics is None:
         return [*spec.inputs, *spec.metrics]
     chosen = [m.strip() for m in metrics.split(",") if m.strip()]
@@ -295,6 +297,9 @@ def select_columns(metrics: str | None, spec: Command) -> list[str]:
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown metric(s) {unknown}; registry: {list(spec.metrics)}")
+    if not chosen or len(set(chosen)) < len(chosen):
+        raise argparse.ArgumentTypeError(
+            f"--metrics must name at least one metric, each once, got {metrics!r}")
     return [*spec.inputs, *chosen]
 
 

@@ -8,14 +8,6 @@ class NumericalConsistencyError(RuntimeError):
     """A computed quantity violates a consistency bound (e.g. pmf mass > 1)."""
 
 
-class DegenerateSqueezingError(ValueError):
-    """Squeezing magnitude is zero/negative where the DSS formula is invalid.
-
-    Callers should fall back to Poisson statistics (coherent-state limit)
-    instead of catching and retrying.
-    """
-
-
 class BracketError(RuntimeError):
     """A root bracket shows no sign change; the search cannot proceed."""
 

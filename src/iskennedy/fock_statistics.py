@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .errors import DegenerateSqueezingError, NumericalConsistencyError, finite, nonnegative
+from .errors import NumericalConsistencyError, finite, nonnegative
 
 # Partial pmf mass may exceed 1 by accumulated rounding; anything above this
 # slack indicates a real bug in the pmf, not rounding.
@@ -62,6 +62,15 @@ def resolution(M) -> int:
     k = M if M.__class__ is int else int(M) if 1 <= M < math.inf else 0
     if k < 1 or k != M:
         raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
+    return k
+
+
+def whole_number(value, name: str) -> int:
+    """`value` as an int, if it is a whole number of any sign; 2.0 reads as 2, and 1.5,
+    NaN and +-inf raise ValueError naming the quantity."""
+    k = value if value.__class__ is int else int(value) if -math.inf < value < math.inf else None
+    if k is None or k != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     return k
 
 
@@ -131,13 +140,15 @@ def _split_at(k: int, mean: float, pmf: Callable[[int, float], float], p: float,
 
 
 def poisson_tail_ge(k: int, mu: float) -> float:
-    """P(X >= k) for X ~ Poisson(mu), as a finite sum from the stable side."""
-    return _split_at(k, mu, poisson_pmf, mu, 0.0, mu)[1]
+    """P(X >= k) for X ~ Poisson(mu), as a finite sum from the stable side; k is read
+    as a whole number (whole_number), and is 1.0 for k <= 0."""
+    return _split_at(whole_number(k, "k"), mu, poisson_pmf, mu, 0.0, mu)[1]
 
 
 def poisson_cdf_below(k: int, mu: float) -> float:
-    """P(X < k) for X ~ Poisson(mu), as a finite sum from the stable side."""
-    return _split_at(k, mu, poisson_pmf, mu, 0.0, mu)[0]
+    """P(X < k) for X ~ Poisson(mu), as a finite sum from the stable side; k is read
+    as a whole number (whole_number), and is 0.0 for k <= 0."""
+    return _split_at(whole_number(k, "k"), mu, poisson_pmf, mu, 0.0, mu)[0]
 
 
 def sv_pmf(n: int, r: float) -> float:
@@ -172,10 +183,10 @@ def _sv_values(r: float) -> Iterator[float]:
 
 
 def sv_tail_ge(n_min: int, r: float) -> float:
-    """Squeezed-vacuum mass at n >= n_min: _split_at over n = 2i, step tanh^2(r) (1 - 1/2i)."""
-    t2 = math.tanh(r) ** 2
-    return _split_at((n_min + 1) // 2, 0.5 * math.sinh(r) ** 2, lambda i, r: sv_pmf(2 * i, r),
-                     r, t2, -0.5 * t2)[1]
+    """Squeezed-vacuum mass at n >= n_min: _split_at over n = 2i, step tanh^2(r) (1 - 1/2i);
+    n_min is read as a whole number (whole_number), and the mass is 1.0 for n_min <= 0."""
+    k, t2 = (whole_number(n_min, "n_min") + 1) // 2, math.tanh(r) ** 2
+    return _split_at(k, 0.5 * math.sinh(r) ** 2, lambda i, r: sv_pmf(2 * i, r), r, t2, -0.5 * t2)[1]
 
 
 def _dss_values(A: complex, r: float, theta: float) -> Iterator[float]:
@@ -258,11 +269,11 @@ def poisson_law(mu: float) -> KeptLaw:
 def dss_pmf(n: int, alpha_c: complex, r: float, theta: float = 0.0) -> float:
     """Photon pmf of a displaced squeezed state with complex displacement.
 
-    Valid only for finite r > 0; the r -> 0 limit is a coherent state, which
-    photon_pmf switches to below r = 1e-8.
+    Valid only for finite r > 0, else ValueError; the r -> 0 limit is a coherent
+    state, which photon_pmf switches to below r = 1e-8.
     """
     if not 0.0 < r < math.inf:
-        raise DegenerateSqueezingError(
+        raise ValueError(
             f"dss_pmf requires finite r > 0, got {r!r}; at r = 0 use poisson_pmf(|alpha_c|^2)")
     return KeptLaw(_dss_values(finite(alpha_c, "alpha_c"), r, finite(theta, "theta")))(n)
 

@@ -62,15 +62,6 @@ class SignalDesign:
         object.__setattr__(self, "n_eff", n_eff)
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseSpacePoint:
-    x: float
-    p: float
-
-    def __post_init__(self):
-        finite(self.x, "x"), finite(self.p, "p")
-
-
 def binary_symbol(symbol: int) -> int:
     """`symbol`, if it is 0 or 1; else ValueError."""
     if symbol not in (0, 1):
@@ -98,9 +89,10 @@ def design_at_optimal_beta(N: float) -> SignalDesign:
     return make_design(N, optimal_beta(N))
 
 
-def wigner_dss(point: PhaseSpacePoint, design: SignalDesign, symbol: int) -> float:
-    """Wigner density (1/pi) exp{-e^2r (x -/+ sqrt(2)a)^2 - e^-2r p^2} at a point."""
-    return next(wigner_grid([point.x], [point.p], design, symbol))[0]
+def wigner_dss(x: float, p: float, design: SignalDesign, symbol: int) -> float:
+    """Wigner density (1/pi) exp{-e^2r (x -/+ sqrt(2)a)^2 - e^-2r p^2} at (x, p), both
+    finite: wigner_grid's value there, bit for bit."""
+    return next(wigner_grid([finite(x, "x")], [finite(p, "p")], design, symbol))[0]
 
 
 def wigner_grid(xs: list[float], ps: list[float], design: SignalDesign, symbol: int):

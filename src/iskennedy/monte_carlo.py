@@ -33,12 +33,12 @@ from .receiver_mismatch import MismatchModel, map_set_decision, mismatch_problem
 _GENERATOR = "PCG64"
 _SHARD_SIZE = 250_000
 _CHUNK = 32_768
-_IDEAL_M = 40
 
 
 @dataclass(frozen=True, slots=True)
 class IdealScenario:
-    """Perfect receiver; _IDEAL_M only truncates the simulated outcome space."""
+    """Perfect on-off receiver: a trial's outcome is no click (count 0, symbol 0) or a
+    click (bin 1, every count >= 1, symbol 1)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +119,9 @@ def scenario_problem(design: SignalDesign, scenario: Scenario) -> tuple[Decision
     """Exact conditional pmfs and the receiver's decision rule for a scenario; a mismatch
     scenario's pmfs are mismatch_problem's, decided by map_set_decision."""
     if isinstance(scenario, IdealScenario):
-        problem = DecisionProblem(dist0=ideal_count_pmf(design, 0, _IDEAL_M),
-                                  dist1=ideal_count_pmf(design, 1, _IDEAL_M))
-        return problem, ideal_decision(design, _IDEAL_M)
+        problem = DecisionProblem(dist0=ideal_count_pmf(design, 0, 1),
+                                  dist1=ideal_count_pmf(design, 1, 1))
+        return problem, ideal_decision(design, 1)
     if isinstance(scenario, ImperfectScenario):
         problem = DecisionProblem(dist0=detected_count_pmf(design, scenario.det, 0),
                                   dist1=detected_count_pmf(design, scenario.det, 1))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
 from .errors import nonnegative
-from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law, resolution
+from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_law, resolution,
+                              whole_number)
 from .gaussian_states import SignalDesign, binary_symbol
 
 
@@ -68,9 +69,7 @@ class DecisionRule:
 def threshold_accept_set(n_th: int, M: int) -> range:
     """{max(n_th, 0), ..., M} as a range, O(1) in M; n_th is read as a whole
     number (1.0 as 1; 1.5, NaN and +-inf raise ValueError) and M as a resolution."""
-    k = n_th if n_th.__class__ is int else int(n_th) if -math.inf < n_th < math.inf else None
-    if k is None or k != n_th:
-        raise ValueError(f"n_th must be a whole number, got {n_th!r}")
+    k = whole_number(n_th, "n_th")
     return range(k if k > 0 else 0, resolution(M) + 1)
 
 

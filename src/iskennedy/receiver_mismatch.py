@@ -169,12 +169,12 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
     Only even photon numbers populate the symbol-0 state, so the floor is
     set by the lowest even count at or above the detector resolution:
     n_min = 2 ceil(M/2) and
-    P_sat ~ (1/2) n_min! / (2^{n_min} ((n_min/2)!)^2) dr^{n_min}.
+    P_sat ~ (1/2) n_min! / (2^{n_min} ((n_min/2)!)^2) dr^{n_min}; dr must be finite.
     """
     n_min = 2 * math.ceil(resolution(M) / 2)
     k = n_min // 2
     log_coef = math.lgamma(n_min + 1) - n_min * math.log(2.0) - 2.0 * math.lgamma(k + 1)
-    return 0.5 * math.exp(log_coef) * abs(delta_r) ** n_min
+    return 0.5 * math.exp(log_coef) * abs(finite(delta_r, "delta_r")) ** n_min
 
 
 def exact_parity_floor(M: int, r_m: float) -> float:

@@ -409,6 +409,12 @@ def assert_usage_error_writes_nothing(args, tmp_path):
     ["thresholds", "--sweep", "eta:0.5:1:3"],
     ["mismatch", "--N", "1.0", "--eta", "0.9"],  # composition without --experimental-detector
     ["ideal", "--metrics", "not_a_metric"],
+    # a metric named twice, or none
+    ["ideal", "--metrics", "p_err,p_err"],
+    ["ideal", "--metrics", "p_err, p_err", "--format", "jsonl"],
+    ["detector", "--metrics", "p_err,p_fa,p_err"],
+    ["ideal", "--metrics", ","],
+    ["ideal", "--metrics", ""],
     # outside a model's domain at the first point
     ["detector", "--eta", "2"],
     ["thresholds", "--nu", "-1"],
@@ -437,6 +443,16 @@ def test_usage_error_before_output(args, tmp_path):
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(args, tmp_path):
     assert_usage_error_writes_nothing(args, tmp_path)
+
+
+@pytest.mark.parametrize("metrics", ["p_err,p_err", ","])
+def test_config_metrics_naming_a_metric_twice_or_none_are_rejected(metrics, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"metrics = {metrics}\n")
+    assert_usage_error_writes_nothing(["--config", str(cfg), "ideal"], tmp_path)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and all(line.startswith("error: --metrics ")
+                                         for line in err.splitlines())
 
 
 @pytest.mark.parametrize("command", ["populations", "wigner", "validate"])

@@ -17,7 +17,6 @@ from scipy.stats import poisson as scipy_poisson
 
 from iskennedy import (
     CountDistribution,
-    DegenerateSqueezingError,
     DetectorModel,
     MismatchModel,
     MismatchScenario,
@@ -85,6 +84,25 @@ class TestPoisson:
             assert poisson_cdf_below(k, mu) == pytest.approx(1.0 - tail, abs=1e-13)
 
 
+# Each tail sum with a parameter, its count's name and its answer below any count <= 0.
+TAIL_SUMS = [(poisson_tail_ge, 5.0, "k", 1.0), (poisson_cdf_below, 1.0, "k", 0.0),
+             (sv_tail_ge, 0.3, "n_min", 1.0)]
+
+
+@pytest.mark.parametrize("tail, param, name, below_zero", TAIL_SUMS)
+class TestTailSumCount:
+    def test_a_whole_count_of_any_sign_reads_as_its_int(self, tail, param, name, below_zero):
+        for k in (-7, -1, 0, 1, 2, 3, 7):
+            assert tail(float(k), param) == tail(k, param)
+        for k in (-1, -2, -7.0, -1e300, 0, 0.0):
+            assert tail(k, param) == below_zero
+
+    @pytest.mark.parametrize("k", [1.5, 0.5, -0.5, -2.5, math.nan, math.inf, -math.inf])
+    def test_anything_but_a_whole_count_raises(self, tail, param, name, below_zero, k):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
+            tail(k, param)
+
+
 class TestSqueezedVacuum:
     def test_vacuum_element_and_parity(self):
         for r in (0.02, 0.3, 1.0):
@@ -143,6 +161,11 @@ class TestSqueezedVacuum:
         with pytest.raises(NumericalConsistencyError):
             sv_tail_ge(4, 0.1)
 
+    def test_tail_of_a_fractional_count_is_rejected(self):
+        # (0.5 + 1) // 2 = 0 read the bound as n >= 0, and the tail as the whole mass 1.0.
+        with pytest.raises(ValueError, match=r"^n_min must be a whole number, got 0\.5$"):
+            sv_tail_ge(0.5, 0.3)
+
     @given(st.integers(min_value=0, max_value=60), st.floats(min_value=0.0, max_value=2.0))
     def test_parity_and_range(self, k, r):
         n = 2 * k + 1
@@ -172,9 +195,9 @@ class TestHermite:
 
 class TestDssPmf:
     def test_rejects_degenerate_squeezing(self):
-        with pytest.raises(DegenerateSqueezingError):
+        with pytest.raises(ValueError, match="finite r > 0"):
             dss_pmf(0, 1.0, 0.0, 0.0)
-        with pytest.raises(DegenerateSqueezingError):
+        with pytest.raises(ValueError, match="finite r > 0"):
             dss_pmf(0, 1.0, -0.1, 0.0)
 
     @pytest.mark.parametrize("amp", [0.5, 1.0, 2.0])
@@ -645,7 +668,6 @@ def _input_entry_points():
     design = design_at_optimal_beta(1.0)
     det, mm = DetectorModel(0.9, 1e-3, 3), MismatchModel(0.02, 0.0)
     res = residual(design, mm)
-    point = gs.PhaseSpacePoint(0.0, 0.0)
     entries = {
         "N": [ik.helstrom_cs, ik.sql_cs, ik.hb_dss_opt, ik.sql_dss_opt, ik.p_err_ideal,
               ri.p_err_kennedy, ri.ratio_to_helstrom, gs.optimal_beta,
@@ -662,14 +684,15 @@ def _input_entry_points():
         "alpha_c": [lambda a: dss_pmf(2, a, 0.5), lambda a: dss_pmf(2, complex(1.0, a), 0.5)],
         "theta": [lambda t: photon_pmf(1.0, 0.5, t)(2), lambda t: photon_pmf(0.0, 0.5, t)(2),
                   lambda t: photon_pmf(1.0, 0.0, t)(2), lambda t: dss_pmf(2, 1.0, 0.5, t)],
-        "x": [lambda x: gs.homodyne_pdf(x, design, 0), lambda x: gs.PhaseSpacePoint(x, 0.0)],
-        "p": [lambda p: gs.PhaseSpacePoint(0.0, p)],
-        "delta_r": [lambda d: MismatchModel(d, 0.0)],
+        "x": [lambda x: gs.homodyne_pdf(x, design, 0),
+              lambda x: gs.wigner_dss(x, 0.0, design, 0)],
+        "p": [lambda p: gs.wigner_dss(0.0, p, design, 0)],
+        "delta_r": [lambda d: MismatchModel(d, 0.0), lambda d: parity_saturation_floor(3, d)],
         "delta_theta": [lambda d: MismatchModel(0.02, d)],
         "n_eff": [lambda n: rimp.optimal_threshold(det, n)],
         "nu": [lambda nu: DetectorModel(1.0, nu, 1), lambda nu: saturation_floor(1, nu),
                lambda nu: exact_saturation_floor(1, nu)],
-        "symbol": [lambda s: gs.wigner_dss(point, design, s),
+        "symbol": [lambda s: gs.wigner_dss(0.0, 0.0, design, s),
                    lambda s: next(gs.wigner_grid([0.0], [0.0], design, s)),
                    lambda s: gs.homodyne_pdf(0.0, design, s),
                    lambda s: ri.ideal_count_pmf(design, s, 3),
@@ -682,13 +705,16 @@ def _input_entry_points():
         "mu1": [lambda mu: ri.map_threshold_ideal(0.0, mu)],
         # A whole number, a negative one clamped to 0; 1.5 is checked in test_receiver_ideal.
         "n_th": [lambda n: ri.threshold_accept_set(n, 4)],
+        # Counts of the tail sums, read alike; TestTailSumCount checks 2.0, 1.5 and negatives.
+        "k": [lambda k: poisson_tail_ge(k, 5.0), lambda k: poisson_cdf_below(k, 1.0)],
+        "n_min": [lambda n: sv_tail_ge(n, 0.3)],
     }
     return {f"{quantity}:{i}": (quantity, call)
             for quantity, calls in entries.items() for i, call in enumerate(calls)}
 
 
 INPUT_ENTRY_POINTS = _input_entry_points()
-SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta", "n_th"}
+SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta", "n_th", "k", "n_min"}
 
 
 @pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))

@@ -10,7 +10,6 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erfc
 
 from iskennedy import (
-    PhaseSpacePoint,
     SignalDesign,
     design_at_optimal_beta,
     homodyne_pdf,
@@ -126,20 +125,20 @@ class TestDesignFromItsInputs:
 class TestWigner:
     def test_peak_value(self):
         d = design_at_optimal_beta(1.0)
-        peak = PhaseSpacePoint(math.sqrt(2.0) * d.alpha, 0.0)
-        assert wigner_dss(peak, d, 1) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        peak = wigner_dss(math.sqrt(2.0) * d.alpha, 0.0, d, 1)
+        assert peak == pytest.approx(1.0 / math.pi, rel=1e-14)
 
     def test_vacuum_limit(self):
         d = make_design(0.0, 0.0)
         for x, p in [(0.0, 0.0), (0.7, -0.4), (1.5, 2.0)]:
             want = math.exp(-x * x - p * p) / math.pi
-            assert wigner_dss(PhaseSpacePoint(x, p), d, 0) == pytest.approx(want, rel=1e-13)
+            assert wigner_dss(x, p, d, 0) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("N,beta", [(1.0, 1.0 / 3.0), (0.5, 0.0), (2.0, 0.8)])
     def test_normalization(self, N, beta):
         d = make_design(N, beta)
         total, err = dblquad(
-            lambda p, x: wigner_dss(PhaseSpacePoint(x, p), d, 1),
+            lambda p, x: wigner_dss(x, p, d, 1),
             -np.inf, np.inf, -np.inf, np.inf,
         )
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -147,13 +146,13 @@ class TestWigner:
     def test_marginal_matches_homodyne(self):
         d = design_at_optimal_beta(0.8)
         for x in np.linspace(-2.5, 2.5, 9):
-            marg, _ = quad(lambda p: wigner_dss(PhaseSpacePoint(x, p), d, 0), -np.inf, np.inf)
+            marg, _ = quad(lambda p: wigner_dss(x, p, d, 0), -np.inf, np.inf)
             assert marg == pytest.approx(homodyne_pdf(x, d, 0), abs=1e-8)
 
     def test_symbol_validation(self):
         d = design_at_optimal_beta(1.0)
         with pytest.raises(ValueError):
-            wigner_dss(PhaseSpacePoint(0.0, 0.0), d, 2)
+            wigner_dss(0.0, 0.0, d, 2)
         with pytest.raises(ValueError):
             next(wigner_grid([0.0], [0.0], d, 2))
         with pytest.raises(ValueError):
@@ -186,7 +185,7 @@ def test_wigner_grid_is_wigner_dss_bit_for_bit(N, beta, bounds, points):
         assert len(lines) == len(xs)
         for x, line in zip(xs, lines):
             assert line == [_wigner_cell(x, p, d, symbol) for p in ps]
-            assert line == [wigner_dss(PhaseSpacePoint(x, p), d, symbol) for p in ps]
+            assert line == [wigner_dss(x, p, d, symbol) for p in ps]
 
 
 class TestHomodyne:
@@ -237,4 +236,4 @@ class TestGaussianState:
 
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
-            PhaseSpacePoint(math.inf, 0.0)
+            wigner_dss(math.inf, 0.0, design_at_optimal_beta(1.0), 0)

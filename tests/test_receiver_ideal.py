@@ -17,7 +17,6 @@ from iskennedy import (
     ImperfectScenario,
     MismatchModel,
     MismatchScenario,
-    PhaseSpacePoint,
     TrialConfig,
     TrialReport,
     design_at_optimal_beta,
@@ -209,7 +208,7 @@ def _one_of_each_slotted_record():
     design = design_at_optimal_beta(1.0)
     det, mm = DetectorModel(eta=0.9, nu=1e-3, M=4), MismatchModel(0.02, 0.03 * math.pi)
     dists = ideal_count_pmf(design, 0, 4), ideal_count_pmf(design, 1, 4)
-    return [design, PhaseSpacePoint(0.5, -0.25), dists[1], DecisionProblem(*dists),
+    return [design, dists[1], DecisionProblem(*dists),
             ideal_decision(design, 4), crossings_vs_benchmarks(), det, mm, residual(design, mm),
             IdealScenario(), ImperfectScenario(det), MismatchScenario(mm, 3),
             TrialConfig(trials=1000, seed=7, scenario=MismatchScenario(mm, 3))]
