@@ -15,6 +15,11 @@ outgrows a chunk except the shard's symbols, its decisions and the physical
 sampler's counts.  A shard still draws every symbol first, then each stage of its
 variates in turn; a Generator returns the same stream whether a stage is drawn
 in one call or in consecutive chunks, so chunking moves no draw.
+
+A symbol is the top bit of a 32-bit half of a raw PCG64 word, low half first:
+the bits that `rng.integers(0, 2, n)` would return, read without its bounded
+draw.  An odd last chunk leaves the unread half of its last word where integers
+would buffer it, and every later draw reads whole 64-bit words, so it moves none.
 """
 
 from __future__ import annotations
@@ -242,13 +247,24 @@ def _tally(config: TrialConfig, rule: DecisionRule, decide) -> TrialReport:
     A shard's symbols are drawn chunk by chunk into the bool array sent (True:
     symbol 1) before decide draws anything, so every symbol precedes the
     shard's variates in the stream; decide returns the shard's bool decisions.
+
+    A chunk of n symbols reads (n + 1) // 2 raw PCG64 words as 32-bit halves,
+    low half first, and a symbol is 1 where its half's top bit is set.  These
+    are the bits rng.integers(0, 2, n) returns: it takes one 32-bit draw per
+    symbol from the halves of one word, by Lemire's method with range 2, whose
+    result is the top bit.  An odd chunk leaves unread the half that integers
+    would buffer; only a shard's last chunk can be odd (_CHUNK is even), and
+    every later draw of the shard reads whole 64-bit words, so no draw moves.
     """
     import numpy as np
     sent1 = decided1 = hits = 0
     for size, rng in _shards(config.trials, config.seed):
         sent = np.empty(size, dtype=bool)
         for part in _chunks(sent):
-            part[...] = rng.integers(0, 2, size=part.size)
+            words = rng.bit_generator.random_raw((part.size + 1) // 2)
+            halves = words.astype("<u8", copy=False).view("<u4")[:part.size]
+            np.greater_equal(halves, np.uint32(1 << 31), out=part)
+        del words, halves  # the last chunk's, freed before decide allocates
         decide1 = decide(rng, sent)
         sent1 += int(np.count_nonzero(sent))
         decided1 += int(np.count_nonzero(decide1))

@@ -23,7 +23,8 @@ from iskennedy import (
     simulate_physical_imperfect,
 )
 from iskennedy.cli import validation_battery
-from iskennedy.monte_carlo import _CHUNK, _SHARD_SIZE, _flip_decider, scenario_problem
+from iskennedy.monte_carlo import (_CHUNK, _SHARD_SIZE, _flip_decider, _shards, _tally,
+                                   scenario_problem)
 
 from oracles import sample_counts, whole_shard_counts, whole_shard_physical_counts
 
@@ -374,6 +375,29 @@ def test_chunked_sampling_keeps_the_whole_shard_stream(label, trials):
         report = simulate(design, config)
         expected = whole_shard_counts(design, config)
     assert (report.fa_count, report.mi_count, report.sent0, report.sent1) == expected
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                    _SHARD_SIZE + 3])
+def test_symbols_are_the_bits_of_integers_0_2(trials):
+    # _tally reads two symbols from each raw word; an odd chunk leaves unread
+    # the half word that integers would buffer for its next draw, so only a
+    # shard's last chunk may be odd.
+    assert _CHUNK % 2 == 0
+    # Each shard's symbols as _tally draws them, and the next 1,000 u of its
+    # stream, against a twin generator's integers(0, 2) in one call.
+    seed, drawn = 20261021, []
+
+    def decide(rng, sent):
+        drawn.append((sent.copy(), rng.random(1000)))
+        return sent
+    rule = scenario_problem(design_at_optimal_beta(1.0), IdealScenario())[1]
+    _tally(TrialConfig(trials=trials, seed=seed, scenario=IdealScenario()), rule, decide)
+    twins = list(_shards(trials, seed))
+    assert len(drawn) == len(twins)
+    for (sent, u), (size, twin) in zip(drawn, twins):
+        assert np.array_equal(sent, twin.integers(0, 2, size).astype(bool))
+        assert np.array_equal(u, twin.random(1000))
 
 
 @pytest.mark.parametrize("sampler, bound_mib", [

@@ -180,11 +180,13 @@ def test_threshold_rule_is_the_map_rule(N, eta, nu, M):
     (0.05, 0.375, 0.032406985441674724),
     # Symbol 0's bin 10 reads 1.11e-16 (true tail 2.4e-25), symbol 1's 0.0 (true 2.2e-17).
     (0.0625, 0.3125, 0.015625),
+    # Symbol 0's bin 10 reads 1.11e-16 (true tail 2.4e-25), symbol 1's 0.0 (true 3.1e-17).
+    (0.0546875, 0.375, 0.015625),
 ])
 def test_the_lumped_bin_keeps_the_map_rule_a_threshold(N, eta, nu):
     # Inputs that test_threshold_rule_is_the_map_rule draws under some hypothesis seeds
-    # (--hypothesis-seed=109 shrinks to the second): in each the MAP set drops n = 10,
-    # which the exact threshold keeps.
+    # (--hypothesis-seed=109 shrinks to the second, 34 to the third): in each the MAP set
+    # drops n = 10, which the exact threshold keeps.
     design = design_at_optimal_beta(N)
     det = DetectorModel(eta=eta, nu=nu, M=10)
     dist0, dist1 = (detected_count_pmf(design, det, s) for s in (0, 1))
