@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .errors import NumericalConsistencyError, finite, nonnegative
+from .errors import NumericalConsistencyError, finite, nonnegative, whole_number
 
 # Partial pmf mass may exceed 1 by accumulated rounding; anything above this
 # slack indicates a real bug in the pmf, not rounding.
@@ -56,31 +56,6 @@ _LOG_FACT: list[float] = []
 _LOG_FACT_LOCK = threading.Lock()
 
 
-def resolution(M) -> int:
-    """A detector resolution as an int; 2.0 reads as 2, and anything but a
-    whole number >= 1 (0, 1.5, NaN, +-inf) raises ValueError."""
-    k = M if M.__class__ is int else int(M) if 1 <= M < math.inf else 0
-    if k < 1 or k != M:
-        raise ValueError(f"resolution must be an integer >= 1, got {M!r}")
-    return k
-
-
-def whole_number(value, name: str) -> int:
-    """`value` as an int, if it is a whole number of any sign; 2.0 reads as 2, and 1.5,
-    NaN and +-inf raise ValueError naming the quantity."""
-    k = value if value.__class__ is int else int(value) if -math.inf < value < math.inf else None
-    if k is None or k != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return k
-
-
-def _count(n) -> int:
-    k = n if n.__class__ is int else int(n) if 0 <= n < math.inf else -1
-    if k < 0 or k != n:
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    return k
-
-
 def log_factorials(size: int) -> list[float]:
     """The shared table [log 0!, log 1!, ...] of at least `size` entries, each math.lgamma(n + 1);
     grown in order of n, under its own lock, only when `size` reads past its end.  The list
@@ -96,7 +71,7 @@ def poisson_pmf(n: int, mu: float) -> float:
     """e^{-mu} mu^n / n!  (log-gamma evaluation once n exceeds 20 or mu^n overflows)."""
     if not mu >= 0:  # mu = +inf is the limit where every value is 0
         raise ValueError(f"Poisson mean must be >= 0, got {mu!r}")
-    n = _count(n)
+    n = whole_number(n, "n", 0)
     if not 0.0 < mu < math.inf:  # the limits: all mass at n = 0 (mu = 0), none anywhere (inf)
         return 1.0 if n == 0 and mu == 0.0 else 0.0
     if n <= 20:
@@ -155,7 +130,7 @@ def sv_pmf(n: int, r: float) -> float:
     """Squeezed-vacuum photon pmf: zero for odd n, else
     (2k)!/(2^{2k} (k!)^2) tanh^{2k}(r) / cosh(r) with n = 2k."""
     nonnegative(r, "r")
-    n = _count(n)
+    n = whole_number(n, "n", 0)
     if n % 2 == 1 or r == 0.0:
         return 1.0 if n == 0 else 0.0
     if n == 0:
@@ -235,7 +210,7 @@ class KeptLaw:
         self._probs, self._values, self._lock, self._failure = [], values, threading.Lock(), None
 
     def __call__(self, n) -> float:
-        n = _count(n)
+        n = whole_number(n, "n", 0)
         return (self._probs if n < len(self._probs) else self._extend(n + 1))[n]
 
     def head(self, M: int) -> list[float]:
@@ -305,7 +280,7 @@ class CountDistribution:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "M", resolution(self.M))
+        object.__setattr__(self, "M", whole_number(self.M, "M", 1))
         shape = self.probs.shape if hasattr(self.probs, "shape") else (len(self.probs),)
         if shape != (self.M + 1,):
             raise ValueError(f"expected {self.M + 1} probabilities, got {shape}")
@@ -323,7 +298,7 @@ class CountDistribution:
 def clamp_to_resolution(pmf: Callable[[int], float], M: int) -> CountDistribution:
     """Truncate an unbounded pmf to resolution M, lumping the tail into bin M; a
     callable that is not a KeptLaw is read as a fresh one over pmf(0), pmf(1), ..."""
-    M = resolution(M)
+    M = whole_number(M, "M", 1)
     law = pmf if isinstance(pmf, KeptLaw) else KeptLaw(map(pmf, count()))
     probs = law.head(M)
     partial = 0.0

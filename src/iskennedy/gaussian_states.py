@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import finite, nonnegative
+from .errors import finite, nonnegative, whole_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,7 @@ class SignalDesign:
         N, beta = self.N, self.beta
         nonnegative(N, "N")
         if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"squeezing fraction must lie in [0, 1], got {beta}")
+            raise ValueError(f"beta, the squeezing fraction, must lie in [0, 1], got {beta!r}")
         alpha = math.sqrt(N * (1.0 - beta))
         r = math.asinh(math.sqrt(N * beta))
         gamma = alpha * math.exp(r)
@@ -62,16 +62,10 @@ class SignalDesign:
         object.__setattr__(self, "n_eff", n_eff)
 
 
-def binary_symbol(symbol: int) -> int:
-    """`symbol`, if it is 0 or 1; else ValueError."""
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    return symbol
-
-
 def _mean_x(design: SignalDesign, symbol: int) -> float:
     """<X> of the symbol state, -/+ sqrt(2) alpha for symbol 0/1."""
-    return (1.0 if binary_symbol(symbol) == 1 else -1.0) * math.sqrt(2.0) * design.alpha
+    side = 1.0 if whole_number(symbol, "symbol", 0, 1) == 1 else -1.0
+    return side * math.sqrt(2.0) * design.alpha
 
 
 def optimal_beta(N: float) -> float:

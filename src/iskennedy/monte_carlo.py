@@ -28,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .fock_statistics import resolution
+from .errors import whole_number
 from .gaussian_states import SignalDesign
 from .receiver_ideal import (DecisionProblem, DecisionRule, ideal_count_pmf, ideal_decision,
                              transform_means)
@@ -57,7 +57,7 @@ class MismatchScenario:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "M", resolution(self.M))
+        object.__setattr__(self, "M", whole_number(self.M, "M", 1))
 
 
 Scenario = IdealScenario | ImperfectScenario | MismatchScenario

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .benchmarks import helstrom_cs, sql_cs, sql_dss_opt, bisect_root
-from .errors import nonnegative
-from .fock_statistics import (CountDistribution, clamp_to_resolution, poisson_law, resolution,
-                              whole_number)
-from .gaussian_states import SignalDesign, binary_symbol
+from .errors import nonnegative, whole_number
+from .fock_statistics import CountDistribution, clamp_to_resolution, poisson_law
+from .gaussian_states import SignalDesign
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +66,10 @@ class DecisionRule:
 
 
 def threshold_accept_set(n_th: int, M: int) -> range:
-    """{max(n_th, 0), ..., M} as a range, O(1) in M; n_th is read as a whole
-    number (1.0 as 1; 1.5, NaN and +-inf raise ValueError) and M as a resolution."""
+    """{max(n_th, 0), ..., M} as a range, O(1) in M; n_th is read as a whole number of any
+    sign and M as one >= 1 (whole_number: 1.0 as 1; 1.5, NaN and +-inf raise ValueError)."""
     k = whole_number(n_th, "n_th")
-    return range(k if k > 0 else 0, resolution(M) + 1)
+    return range(k if k > 0 else 0, whole_number(M, "M", 1) + 1)
 
 
 def transform_means(design: SignalDesign) -> tuple[float, float]:
@@ -80,7 +79,7 @@ def transform_means(design: SignalDesign) -> tuple[float, float]:
 
 def ideal_count_pmf(design: SignalDesign, symbol: int, M: int) -> CountDistribution:
     """Count statistics behind a perfect detector, truncated to resolution M."""
-    mu = transform_means(design)[binary_symbol(symbol)]
+    mu = transform_means(design)[whole_number(symbol, "symbol", 0, 1)]
     return clamp_to_resolution(poisson_law(mu), M)
 
 

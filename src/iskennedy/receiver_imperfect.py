@@ -14,11 +14,10 @@ import threading
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import NumericalConsistencyError, nonnegative
+from .errors import NumericalConsistencyError, nonnegative, whole_number
 from .fock_statistics import (_LAW_CAP, CountDistribution, KeptLaw, clamp_to_resolution,
-                              log_factorials, poisson_cdf_below, poisson_law, poisson_tail_ge,
-                              resolution)
-from .gaussian_states import SignalDesign, binary_symbol
+                              log_factorials, poisson_cdf_below, poisson_law, poisson_tail_ge)
+from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionRule, _map_threshold, threshold_accept_set, transform_means
 
 
@@ -37,12 +36,12 @@ class DetectorModel:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         nonnegative(self.nu, "nu")
-        object.__setattr__(self, "M", resolution(self.M))
+        object.__setattr__(self, "M", whole_number(self.M, "M", 1))
 
 
 def detected_count_pmf(design: SignalDesign, det: DetectorModel, symbol: int) -> CountDistribution:
     """Poisson(eta * mu_i + nu) truncated to the detector resolution."""
-    mu = det.eta * transform_means(design)[binary_symbol(symbol)] + det.nu
+    mu = det.eta * transform_means(design)[whole_number(symbol, "symbol", 0, 1)] + det.nu
     return clamp_to_resolution(poisson_law(mu), det.M)
 
 
@@ -77,7 +76,7 @@ def p_err_imperfect(design: SignalDesign, det: DetectorModel) -> DecisionRule:
 def saturation_floor(M: int, nu: float) -> float:
     """High-energy error floor nu^M / (2 M!)."""
     nonnegative(nu, "nu")
-    M = resolution(M)
+    M = whole_number(M, "M", 1)
     if nu == 0.0:
         return 0.0
     return 0.5 * math.exp(M * math.log(nu) - math.lgamma(M + 1))
@@ -86,7 +85,7 @@ def saturation_floor(M: int, nu: float) -> float:
 def exact_saturation_floor(M: int, nu: float) -> float:
     """Exact high-energy limit: half the dark-count tail P(n >= M; nu)."""
     nonnegative(nu, "nu")
-    return 0.5 * poisson_tail_ge(resolution(M), nu)
+    return 0.5 * poisson_tail_ge(whole_number(M, "M", 1), nu)
 
 
 class _Thinning:

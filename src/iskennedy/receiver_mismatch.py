@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import ge
 
-from .errors import finite, nonnegative
+from .errors import finite, nonnegative, whole_number
 from .fock_statistics import (CountDistribution, KeptLaw, clamp_to_resolution, photon_pmf,
-                              resolution, sv_tail_ge)
-from .gaussian_states import SignalDesign, binary_symbol
+                              sv_tail_ge)
+from .gaussian_states import SignalDesign
 from .receiver_ideal import DecisionProblem, DecisionRule, threshold_accept_set
 
 
@@ -121,7 +121,8 @@ def mismatch_law(design: SignalDesign, res: ResidualSqueezing, symbol: int) -> K
     D(2 gamma)|0> (see ResidualSqueezing).  At negligible r_m both collapse
     to the matched-case statistics.
     """
-    return photon_pmf(2.0 * design.gamma * binary_symbol(symbol), res.r_m, res.theta_m)
+    A = 2.0 * design.gamma * whole_number(symbol, "symbol", 0, 1)
+    return photon_pmf(A, res.r_m, res.theta_m)
 
 
 def mismatch_count_pmf(design: SignalDesign, res: ResidualSqueezing, M: int,
@@ -171,7 +172,7 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
     n_min = 2 ceil(M/2) and
     P_sat ~ (1/2) n_min! / (2^{n_min} ((n_min/2)!)^2) dr^{n_min}; dr must be finite.
     """
-    n_min = 2 * math.ceil(resolution(M) / 2)
+    n_min = 2 * math.ceil(whole_number(M, "M", 1) / 2)
     k = n_min // 2
     log_coef = math.lgamma(n_min + 1) - n_min * math.log(2.0) - 2.0 * math.lgamma(k + 1)
     return 0.5 * math.exp(log_coef) * abs(finite(delta_r, "delta_r")) ** n_min
@@ -180,7 +181,7 @@ def parity_saturation_floor(M: int, delta_r: float) -> float:
 def exact_parity_floor(M: int, r_m: float) -> float:
     """High-energy limit of the mismatch error: half the squeezed-vacuum tail
     over counts >= M (only even terms contribute)."""
-    return 0.5 * sv_tail_ge(resolution(M), r_m)
+    return 0.5 * sv_tail_ge(whole_number(M, "M", 1), r_m)
 
 
 def p_err_mismatch(design: SignalDesign, mm: MismatchModel, M: int) -> DecisionRule:

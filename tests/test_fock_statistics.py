@@ -329,7 +329,7 @@ def test_every_law_rejects_bad_counts(entry, warm):
         last = pmf(40)
         assert pmf(40) == last
     for n in _BAD_COUNTS:
-        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^n must be a whole number"):
             pmf(n)
 
 
@@ -668,10 +668,13 @@ def _input_entry_points():
     design = design_at_optimal_beta(1.0)
     det, mm = DetectorModel(0.9, 1e-3, 3), MismatchModel(0.02, 0.0)
     res = residual(design, mm)
+    law = fock_statistics._law.__wrapped__(1.2 - 0.3j, 0.4, 0.5)  # kept outside the cache
     entries = {
         "N": [ik.helstrom_cs, ik.sql_cs, ik.hb_dss_opt, ik.sql_dss_opt, ik.p_err_ideal,
               ri.p_err_kennedy, ri.ratio_to_helstrom, gs.optimal_beta,
               lambda N: gs.make_design(N, 0.5), design_at_optimal_beta],
+        "beta": [lambda b: gs.make_design(1.0, b), lambda b: gs.SignalDesign(1.0, b)],
+        "eta": [lambda eta: DetectorModel(eta, 1e-3, 3)],
         "alpha": [lambda a: ik.helstrom_dss(a, 0.5), lambda a: ik.sql_dss(a, 0.5)],
         "r": [lambda r: ik.helstrom_dss(0.5, r), lambda r: ik.sql_dss(0.5, r),
               lambda r: rm.bogoliubov(r, mm), lambda r: rm.first_order_residual(r, mm),
@@ -692,6 +695,10 @@ def _input_entry_points():
         "n_eff": [lambda n: rimp.optimal_threshold(det, n)],
         "nu": [lambda nu: DetectorModel(1.0, nu, 1), lambda nu: saturation_floor(1, nu),
                lambda nu: exact_saturation_floor(1, nu)],
+        # Whole numbers with a lower bound, and the symbol with both (0 and 1).
+        "M": list(RESOLUTION_ENTRY_POINTS.values()),
+        "n": [lambda n: poisson_pmf(n, 1.3), lambda n: sv_pmf(n, 0.4),
+              lambda n: dss_pmf(n, 1.2 - 0.3j, 0.4, 0.5), law],
         "symbol": [lambda s: gs.wigner_dss(0.0, 0.0, design, s),
                    lambda s: next(gs.wigner_grid([0.0], [0.0], design, s)),
                    lambda s: gs.homodyne_pdf(0.0, design, s),
@@ -715,6 +722,8 @@ def _input_entry_points():
 
 INPUT_ENTRY_POINTS = _input_entry_points()
 SIGNED_INPUTS = {"A", "alpha_c", "theta", "x", "p", "delta_r", "delta_theta", "n_th", "k", "n_min"}
+# Every whole-number input, and a valid value of it.
+WHOLE_NUMBER_INPUTS = {"M": 2, "n": 2, "symbol": 1, "n_th": 2, "k": 2, "n_min": 2}
 
 
 @pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
@@ -727,6 +736,23 @@ def test_inputs_are_checked_alike_everywhere(entry):
     assert fock_statistics._law.cache_info().currsize == 0  # no law of a rejected input is kept
     if quantity in SIGNED_INPUTS:
         at(-1.0)  # a finite negative value is a valid signed input
+
+
+def _compared(result):
+    """An entry point's result in a form that tells values and their types apart."""
+    return repr(result.head(4) if isinstance(result, fock_statistics.KeptLaw) else result)
+
+
+@pytest.mark.parametrize("entry", sorted(
+    key for key, (quantity, _) in INPUT_ENTRY_POINTS.items() if quantity in WHOLE_NUMBER_INPUTS))
+def test_whole_numbers_are_read_alike_everywhere(entry):
+    quantity, at = INPUT_ENTRY_POINTS[entry]
+    k = WHOLE_NUMBER_INPUTS[quantity]
+    want = _compared(at(k))
+    for spelling in (float(k), np.float64(k), np.int64(k), np.int32(k)):
+        assert _compared(at(spelling)) == want, spelling
+    with pytest.raises(ValueError, match=rf"^{quantity} must be a whole number"):
+        at(1.5)
 
 
 def test_poisson_mean_takes_the_infinite_limit_and_rejects_the_rest():

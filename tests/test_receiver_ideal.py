@@ -271,7 +271,7 @@ class TestSlottedRecords:
         # A whole float M reads as its int resolution; any other M raises.
         accept_set = receiver_ideal.threshold_accept_set
         assert accept_set(1, 4.0) == accept_set(1, 4) == range(1, 5)
-        with pytest.raises(ValueError, match="resolution"):
+        with pytest.raises(ValueError, match="^M must be a whole number"):
             accept_set(1, 4.5)
         # n_th likewise: a whole float reads as its int, a negative one clamps to 0.
         assert accept_set(1.0, 4) == accept_set(1, 4)
